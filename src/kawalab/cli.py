@@ -51,7 +51,13 @@ def _num(sec: dict, path: str, key: str, default=None):
     v = sec[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"field '{path}.{key}' must be a number, got {v!r}")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"field '{path}.{key}' must be finite, got {sec[key]!r}")
+    return v
 
 
 def load_config(path: str) -> dict:
@@ -116,14 +122,15 @@ def _build_u0(spec: dict, params: PhysicalParams, seed: int):
     if kind == "zero":
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if kind == "sine":
-        mode = int(spec.get("mode", 1))
-        if mode < 1:
-            raise ConfigError("initial.u0.mode must be >= 1")
-        frac = spec.get("h_norm_r_max_fraction")
-        if frac is not None:
+        mode = _num(spec, "initial.u0", "mode", 1)
+        if mode < 1 or mode != int(mode):
+            raise ConfigError("initial.u0.mode must be an integer >= 1")
+        mode = int(mode)
+        if spec.get("h_norm_r_max_fraction") is not None:
             # ||A sin(m pi x/L)||_{L^2} = A sqrt(L/2); scale so the H norm
             # (z0 must be zero for this to be exact) hits frac * r_max
-            amp = float(frac) * r_max(params) / math.sqrt(L / 2.0)
+            frac = _num(spec, "initial.u0", "h_norm_r_max_fraction")
+            amp = frac * r_max(params) / math.sqrt(L / 2.0)
         else:
             amp = _num(spec, "initial.u0", "amplitude")
         return lambda x: amp * np.sin(mode * math.pi * np.asarray(x) / L)
@@ -386,7 +393,7 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     return 0 if n_ok >= 1 else 3
 
 
-def cmd_verify(doc: dict, out: str, workers: int) -> int:
+def cmd_verify(doc: dict, out: str) -> int:
     config = build_sim_config(doc)
     params, gains, kernel = config.params, config.gains, config.kernel
     checks = []
@@ -485,15 +492,15 @@ def main(argv=None) -> int:
 
     try:
         doc = load_config(args.config)
-        workers = _worker_count(args.workers)
         if args.command == "check":
             return cmd_check(doc, args.out)
         if args.command == "run":
             return cmd_run(doc, args.out)
         if args.command == "sweep":
             values = _parse_values(args.values) if args.values else None
-            return cmd_sweep(doc, args.out, args.axis, values, workers)
-        return cmd_verify(doc, args.out, workers)
+            return cmd_sweep(doc, args.out, args.axis, values,
+                             _worker_count(args.workers))
+        return cmd_verify(doc, args.out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import model
 from .discretization import Grid, build_operator, mass_and_weighted_mass
-from .memory import memory_integral, trace_sq_integral, z_energy
+from .memory import TraceWeights, weighted_trace
 from .model import PhysicalParams
 from .rng import Lcg64
 
@@ -40,17 +40,26 @@ class DiagnosticsRecord:
         return ",".join(repr(v) for v in vals)
 
 
-def compute_record(state, config, op) -> DiagnosticsRecord:
+def _trace_weights(config) -> TraceWeights:
+    return TraceWeights(config.kernel, config.dt, config.gains.delta)
+
+
+def compute_record(state, config, op, weights: TraceWeights | None = None
+                   ) -> DiagnosticsRecord:
+    """Energy record of one state; `weights` (built from config when absent)
+    are the history quadrature weights of config's kernel, dt and delta."""
     gains, kernel = config.gains, config.kernel
     grid = op.grid
     l2, E1 = mass_and_weighted_mass(state.u, grid)
-    buf = state.history
+    if weights is None:
+        weights = _trace_weights(config)
+    tv = weighted_trace(state.history, weights)
     absb = abs(gains.beta)
-    E = l2 + absb * z_energy(buf, kernel, "plain")
-    E2 = absb * z_energy(buf, kernel, "exp", delta=gains.delta)
+    E = l2 + absb * tv.z_plain
+    E2 = absb * tv.z_exp
     xi = E + gains.mu1 * E1 + gains.mu2 * E2
     w0 = op.trace_uxx0(state.u)
-    mem = memory_integral(buf, kernel)
+    mem = tv.memory
     F = gains.alpha * w0 + gains.beta * mem
     P = model.assemble_P(gains, kernel)
     V = np.array([w0, mem])
@@ -132,7 +141,7 @@ def check_apriori_estimates(result, config) -> dict:
 
     absb = abs(config.gains.beta)
     z0_sq = (result.h_norm0_sq - float(s.l2[0])) / absb
-    zT_sq = z_energy(result.final.history, config.kernel, "plain")
+    zT_sq = weighted_trace(result.final.history, _trace_weights(config)).z_plain
     est3_lhs = z0_sq
     est3_rhs = zT_sq + int_lam_z1
 

@@ -158,10 +158,6 @@ def build_operator(params: PhysicalParams, grid: Grid) -> SpatialOperator:
                            traceL_vec=traceL, D1=D1)
 
 
-def trace_uxx0(op: SpatialOperator, u: np.ndarray) -> float:
-    return op.trace_uxx0(u)
-
-
 def mass_and_weighted_mass(u: np.ndarray, grid: Grid):
     """Composite-trapezoid (||u||^2, int x u^2 dx) with zero boundary values."""
     h = grid.h

@@ -141,10 +141,6 @@ def _int_s_exp(sig: float, t1: float, t2: float) -> float:
     return f(t1) - f(t2)
 
 
-def kernel_moment(kernel: MemoryKernel, weight: str = "one", theta: float = 0.0) -> float:
-    return kernel.moment(weight, theta)
-
-
 @dataclass(frozen=True)
 class FeedbackGains:
     """Damping gain alpha, memory gain beta, Lyapunov weights mu1/mu2, delta.

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from conftest import REFERENCE_DOC
+from conftest import REFERENCE_DOC, reference_sim_config
 from kawalab import cli
 from kawalab.cli import (ConfigError, build_model, build_sim_config,
                          load_config, main)
@@ -118,6 +118,38 @@ def test_exit_1_dt_violates_tau1(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 1
     assert "tau1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["T_end", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400])
+def test_exit_1_non_finite_numerics(tmp_path, capsys, field, value):
+    """NaN, +-Infinity and numbers beyond the float range are config errors
+    that name the field, not zero-step runs or tracebacks."""
+    doc = doc_with(numerics={field: value})
+    rc = main(["run", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"numerics.{field}" in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("u0", [{"type": "sine", "mode": math.nan},
+                                {"type": "sine", "mode": "abc"},
+                                {"type": "sine", "mode": 1.5},
+                                {"type": "sine", "h_norm_r_max_fraction": math.inf}])
+def test_exit_1_bad_sine_profile(tmp_path, capsys, u0):
+    doc = doc_with(initial={"u0": u0})
+    rc = main(["run", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "initial.u0" in capsys.readouterr().err
+
+
+def test_sim_config_rejects_non_finite():
+    for field in ("T_end", "dt"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            reference_sim_config(**{field: math.nan})
 
 
 def test_exit_2_gain_condition_named(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Time integrator: fixed points, decay, convergence, determinism, aborts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from conftest import reference_sim_config
+from kawalab.memory import memory_integral
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams
 from kawalab.solver import SimConfig, SolverAbort, Stepper, run
 
@@ -132,3 +135,129 @@ def test_run_record_schedule():
     assert len(result.records) == expected
     assert result.records[0].t == 0.0
     assert result.records[-1].t == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the fast path against the plain formulation, bit for bit
+
+
+class ReferenceStepper:
+    """The plain formulation of Stepper.step: banded matrices copied entry by
+    entry from the dense I + theta dt A and solved with solve_banded on every
+    step, memory_integral for the feedback and dense D1 matvecs."""
+
+    def __init__(self, st):
+        self.st = st
+        cfg, op = st.config, st.op
+        dt, alpha, N = cfg.dt, cfg.gains.alpha, cfg.N
+        self.systems = {}
+        for be, theta_dt in ((False, 0.5 * dt), (True, dt)):
+            ab = self.to_banded(np.eye(N) + theta_dt * op.A)
+            q = solve_banded((4, 4), ab, op.g_F)
+            denom = 1.0 + theta_dt * alpha * float(op.trace0_vec @ q)
+            self.systems[be] = (ab, q, theta_dt * alpha, denom)
+
+    @staticmethod
+    def to_banded(M):
+        N = M.shape[0]
+        ab = np.zeros((9, N))
+        for i in range(N):
+            for j in range(max(0, i - 4), min(N, i + 5)):
+                ab[4 + i - j, j] = M[i, j]
+        return ab
+
+    def solve(self, rhs, be):
+        ab, q, c, denom = self.systems[be]
+        y = solve_banded((4, 4), ab, rhs, check_finite=False)
+        return y - c * float(self.st.op.trace0_vec @ y) / denom * q
+
+    def nonlinear(self, u):
+        p, D1 = self.st.config.params.p, self.st.op.D1
+        up = u ** int(p)
+        return (D1 @ (up * u) + up * (D1 @ u)) / (p + 2.0)
+
+    def step(self, u, buf, k, prev_nl):
+        cfg, op = self.st.config, self.st.op
+        dt, t = cfg.dt, buf.t_now
+        be = k < cfg.startup_steps
+        if be:
+            mem = memory_integral(buf, cfg.kernel, t + dt)
+        else:
+            mem = 0.5 * (memory_integral(buf, cfg.kernel, t)
+                         + memory_integral(buf, cfg.kernel, t + dt))
+        expl = -op.g_F * (cfg.gains.beta * mem)
+        nl = None
+        if not cfg.linear_only:
+            nl = self.nonlinear(u)
+            nl_mid = 1.5 * nl - 0.5 * prev_nl if not be and prev_nl is not None else nl
+            expl = expl - nl_mid
+        if be:
+            rhs = u + dt * expl
+        else:
+            rhs = (np.eye(cfg.N) - 0.5 * dt * op.A) @ u
+            rhs -= 0.5 * dt * cfg.gains.alpha * op.trace_uxx0(u) * op.g_F
+            rhs += dt * expl
+        u_new = self.solve(rhs, be)
+        buf.push(op.trace_uxx0(u_new))
+        return u_new, nl
+
+
+OFFGRID_KERNELS = {
+    "constant": MemoryKernel(0.955, 1.853),
+    "exponential": MemoryKernel(0.955, 1.853, "exponential", c=1.0, sigma=0.7),
+    "tabulated": MemoryKernel(0.955, 1.853, "tabulated",
+                              samples=((0.9, 1.0), (1.3, 0.6), (1.9, 1.2))),
+}
+
+
+@pytest.mark.parametrize("linear_only", [False, True])
+@pytest.mark.parametrize("form", sorted(OFFGRID_KERNELS))
+def test_fast_step_matches_plain_formulation_bitwise(form, linear_only):
+    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, 1.0),
+                    FeedbackGains(0.5, 0.25, 0.01, 0.01), OFFGRID_KERNELS[form],
+                    N=64, dt=0.01, T_end=3.0,
+                    u0=lambda x: 2.0 * np.sin(np.asarray(x)),
+                    z0=lambda t: 0.3 * math.sin(2.0 * t + 0.4),
+                    linear_only=linear_only, startup_steps=2)
+    st = Stepper(cfg)
+    ref = ReferenceStepper(st)
+    state = st.initial_state()
+    u, buf, prev_nl = state.u, state.history.copy(), None
+    for k in range(300):
+        state = st.step(state)
+        u, prev_nl = ref.step(u, buf, k, prev_nl)
+        assert (state.u == u).all(), k
+        assert (state.history.w == buf.w).all(), k
+    assert state.history.t_now == buf.t_now
+
+
+@pytest.mark.parametrize("N", [128, 2048])
+def test_implicit_solve_matches_solve_banded_bitwise(N):
+    cfg = reference_sim_config(N=N, T_end=0.0)
+    st = Stepper(cfg)
+    ref = ReferenceStepper(st)
+    rng = np.random.default_rng(N)
+    for be in (False, True):
+        for _ in range(5):
+            rhs = rng.standard_normal(N)
+            assert (st._solve_implicit(rhs.copy(), be=be) == ref.solve(rhs, be)).all()
+
+
+def test_nonlinear_matches_dense_d1_bitwise():
+    st = Stepper(reference_sim_config(N=128, T_end=0.0))
+    ref = ReferenceStepper(st)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        u = rng.standard_normal(128) * 10.0 ** rng.uniform(-3, 3)
+        assert (st.nonlinear(u) == ref.nonlinear(u)).all()
+
+
+def test_singular_implicit_system_aborts():
+    """A zero pivot in the band factorization is reported, not solved."""
+    cfg = reference_sim_config(N=32, T_end=0.0)
+    st = Stepper(cfg)
+    A = np.zeros_like(st.op.A)
+    A[5, 5] = -1.0 / (0.5 * cfg.dt)    # I + dt/2 A has a zero row
+    op = replace(st.op, A=A)
+    with pytest.raises(SolverAbort, match="singular implicit system"):
+        Stepper(cfg, op)
