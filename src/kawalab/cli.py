@@ -9,6 +9,8 @@ error, 2 failed certificate, 3 solver abort, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -28,19 +30,36 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration; message names the field."""
 
 
+# Limits that turn an absurd value into a config error instead of a failed
+# allocation or an endless run; the solver's rhs_mat is N x N (512 MB at 8192).
+MAX_N = 8192
+MAX_SAMPLES = 10 ** 7   # time steps T_end/dt, and history samples tau2/dt
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 
 
-def _section(doc: dict, name: str, required=True) -> dict:
+def _section(doc: dict, name: str, required=True, parent="") -> dict:
+    path = f"{parent}.{name}" if parent else name
     sec = doc.get(name)
     if sec is None:
         if required:
-            raise ConfigError(f"missing section '{name}'")
+            raise ConfigError(f"missing section '{path}'")
         return {}
     if not isinstance(sec, dict):
-        raise ConfigError(f"section '{name}' must be an object")
+        raise ConfigError(f"section '{path}' must be an object")
     return sec
+
+
+def _float(v, name: str) -> float:
+    """v as a finite float; bools, strings and the like are rejected."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"field '{name}' must be a number, got {v!r}")
+    # exact for ints of any size; false for NaN
+    if not -sys.float_info.max <= v <= sys.float_info.max:
+        raise ConfigError(f"field '{name}' must be finite, got {v!r}")
+    return float(v)
 
 
 def _num(sec: dict, path: str, key: str, default=None):
@@ -48,15 +67,13 @@ def _num(sec: dict, path: str, key: str, default=None):
         if default is None:
             raise ConfigError(f"missing field '{path}.{key}'")
         return default
-    v = sec[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field '{path}.{key}' must be a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(f"field '{path}.{key}' must be finite, got {sec[key]!r}")
+    return _float(sec[key], f"{path}.{key}")
+
+
+def _int(v, name: str, lo=-math.inf, hi=math.inf) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
+        raise ConfigError(f"field '{name}' must be an integer in [{lo}, {hi}],"
+                          f" got {v!r}")
     return v
 
 
@@ -101,7 +118,8 @@ def build_model(doc: dict):
             raw = kp.get("samples")
             if not raw:
                 raise ConfigError("kernel.params.samples required for tabulated")
-            samples = tuple((float(s), float(v)) for s, v in raw)
+            name = "kernel.params.samples"
+            samples = tuple((_float(s, name), _float(v, name)) for s, v in raw)
         kernel = MemoryKernel(tau1=_num(k, "kernel", "tau1"),
                               tau2=_num(k, "kernel", "tau2"),
                               form=form,
@@ -126,7 +144,8 @@ def _build_u0(spec: dict, params: PhysicalParams, seed: int):
         if mode < 1 or mode != int(mode):
             raise ConfigError("initial.u0.mode must be an integer >= 1")
         mode = int(mode)
-        if spec.get("h_norm_r_max_fraction") is not None:
+        if (spec.get("h_norm_r_max_fraction") is not None
+                or "amplitude" not in spec):
             # ||A sin(m pi x/L)||_{L^2} = A sqrt(L/2); scale so the H norm
             # (z0 must be zero for this to be exact) hits frac * r_max
             frac = _num(spec, "initial.u0", "h_norm_r_max_fraction")
@@ -156,12 +175,14 @@ def _build_z0(spec: dict, seed: int):
         ph = _num(spec, "initial.z0", "phase", 0.0)
         return lambda t: A * math.sin(om * t + ph)
     if kind == "tabulated":
-        ts = spec.get("times")
-        vs = spec.get("values")
-        if not ts or not vs or len(ts) != len(vs):
+        ts, vs = (spec.get(key) for key in ("times", "values"))
+        if (not isinstance(ts, list) or not isinstance(vs, list) or not ts
+                or len(ts) != len(vs)):
             raise ConfigError("initial.z0 tabulated needs matching times/values")
-        ts = np.asarray(ts, dtype=float)
-        vs = np.asarray(vs, dtype=float)
+        ts = np.array([_float(t, "initial.z0.times") for t in ts])
+        vs = np.array([_float(v, "initial.z0.values") for v in vs])
+        if np.any(np.diff(ts) <= 0.0):
+            raise ConfigError("field 'initial.z0.times' must be increasing")
         return lambda t: float(np.interp(t, ts, vs))
     if kind == "random":
         _, z0 = diagnostics.random_initial_data(seed, 1.0)
@@ -173,34 +194,33 @@ def build_sim_config(doc: dict) -> SimConfig:
     params, gains, kernel = build_model(doc)
     n = _section(doc, "numerics")
     init = _section(doc, "initial", required=False)
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    N = n.get("N")
-    if not isinstance(N, int) or isinstance(N, bool):
-        raise ConfigError("numerics.N must be an integer")
-    record_every = n.get("record_every", 10)
-    if not isinstance(record_every, int) or record_every < 0:
-        raise ConfigError("numerics.record_every must be a nonnegative integer")
+    seed = _int(doc.get("seed", 0), "seed")
+    # the ghost closure needs N >= 12 (discretization.Grid)
+    N = _int(n.get("N"), "numerics.N", 12, MAX_N)
+    record_every = _int(n.get("record_every", 10), "numerics.record_every", 0)
     linear_only = n.get("linear_only", False)
     if not isinstance(linear_only, bool):
         raise ConfigError("numerics.linear_only must be a boolean")
-    startup = n.get("startup_steps", 2)
-    if not isinstance(startup, int) or startup < 0:
-        raise ConfigError("numerics.startup_steps must be a nonnegative integer")
+    startup = _int(n.get("startup_steps", 2), "numerics.startup_steps", 0)
     mms = doc.get("mms_amplitude")
-    u0 = _build_u0(init.get("u0", {"type": "zero"}), params, seed)
-    z0 = _build_z0(init.get("z0", {"type": "zero"}), seed)
+    mms = None if mms is None else _float(mms, "mms_amplitude")
+    u0 = _build_u0(_section(init, "u0", False, "initial"), params, seed)
+    z0 = _build_z0(_section(init, "z0", False, "initial"), seed)
+    dt, T_end = _num(n, "numerics", "dt"), _num(n, "numerics", "T_end")
     try:
-        return SimConfig(params=params, gains=gains, kernel=kernel, N=N,
-                         dt=_num(n, "numerics", "dt"),
-                         T_end=_num(n, "numerics", "T_end"),
-                         u0=u0, z0=z0, record_every=record_every,
-                         linear_only=linear_only,
-                         mms_amplitude=float(mms) if mms is not None else None,
-                         startup_steps=startup)
+        config = SimConfig(params=params, gains=gains, kernel=kernel, N=N,
+                           dt=dt, T_end=T_end, u0=u0, z0=z0,
+                           record_every=record_every, linear_only=linear_only,
+                           mms_amplitude=mms, startup_steps=startup)
     except ValueError as e:
         raise ConfigError(f"numerics: {e}") from e
+    for name, span in (("numerics.T_end", T_end), ("kernel.tau2", kernel.tau2)):
+        if span / dt > MAX_SAMPLES:
+            raise ConfigError(f"{name} / numerics.dt must not exceed "
+                              f"{MAX_SAMPLES}, got {span!r} / {dt!r}")
+    if config.n_steps == 0:
+        raise ConfigError(f"numerics.T_end = {T_end!r} gives no time step")
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +310,7 @@ def cmd_run(doc: dict, out: str) -> int:
     if not cert.ok:
         print("warning: failed certificates (run proceeds): "
               + ", ".join(cert.failures), file=sys.stderr)
-    try:
-        result = run(config)
-    except SolverAbort as e:
-        print(f"solver abort: {e}", file=sys.stderr)
-        return 3
+    result = run(config)
     _ensure_out(out)
     write_series_csv(os.path.join(out, "series.csv"), result.records)
     _write_json(os.path.join(out, "report.json"),
@@ -355,12 +371,6 @@ def _sweep_worker(args) -> dict:
 
 
 def _worker_count(cli_value) -> int:
-    env = os.environ.get("KAW_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"KAW_WORKERS must be an integer, got {env!r}")
     if cli_value is not None:
         return max(1, cli_value)
     return os.cpu_count() or 1
@@ -377,17 +387,13 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     else:
         rows = [_sweep_worker(j) for j in jobs]
     rows.sort(key=lambda r: r["index"])  # deterministic: input order
-    header = "value,status,certified,failures,rate,r2,mms_error"
-    lines = [header]
+    cols = ("status", "certified", "failures", "rate", "r2", "mms_error")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(("value",) + cols)
     for r in rows:
-        lines.append(",".join([repr(float(r["value"])), r["status"],
-                               r["certified"],
-                               '"' + r["failures"].replace('"', '""') + '"'
-                               if ("," in r["failures"] or '"' in r["failures"])
-                               else r["failures"],
-                               r["rate"], r["r2"], r["mms_error"]]))
-    _write_text(os.path.join(_ensure_out(out), "sweep.csv"),
-                "\n".join(lines) + "\n")
+        writer.writerow([repr(float(r["value"]))] + [r[c] for c in cols])
+    _write_text(os.path.join(_ensure_out(out), "sweep.csv"), text.getvalue())
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep: {n_ok}/{len(rows)} runs succeeded")
     return 0 if n_ok >= 1 else 3
@@ -411,11 +417,7 @@ def cmd_verify(doc: dict, out: str) -> int:
     add("certificate", None, None, cert.ok,
         note=";".join(cert.failures) if cert.failures else "all conditions hold")
 
-    try:
-        result = run(config)
-    except SolverAbort as e:
-        print(f"solver abort: {e}", file=sys.stderr)
-        return 3
+    result = run(config)
 
     apriori = diagnostics.check_apriori_estimates(result, config)
     if "skipped" in apriori:

@@ -71,7 +71,9 @@ def compute_record(state, config, op, weights: TraceWeights | None = None
     uext = np.concatenate(([0.0], state.u, [0.0]))
     uxx = (uext[:-2] - 2.0 * uext[1:-1] + uext[2:]) / h ** 2
     uxxL = op.trace_uxxL(state.u)
-    h2 = h * (0.5 * w0 ** 2 + (uxx ** 2).sum() + 0.5 * uxxL ** 2)
+    with np.errstate(over="ignore"):    # numpy's ** gives inf, Python's raises
+        h2 = h * (0.5 * np.float64(w0) ** 2 + (uxx ** 2).sum()
+                  + 0.5 * np.float64(uxxL) ** 2)
     return DiagnosticsRecord(t=state.t_now, E=E, E1=E1, E2=E2, xi=xi, w0=w0,
                              F=F, qform=qform, l2=l2, h2seminorm=float(h2))
 
@@ -263,7 +265,7 @@ def spectral_residuals(L: float, N: int, n_pairs: int = 50,
     params = PhysicalParams(a=a, b=b, L=L, p=1.0)
     grid = Grid(N, L)
     op = build_operator(params, grid)
-    vals, vecs = np.linalg.eig(op.A)
+    vals, vecs = np.linalg.eig(op.dense())
     order = np.argsort(np.abs(vals))[:n_pairs]
     h = grid.h
     res = []

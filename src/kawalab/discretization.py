@@ -19,6 +19,8 @@ import numpy as np
 
 from .model import PhysicalParams
 
+BANDWIDTH = 4   # A[i, j] = 0 for |i - j| > BANDWIDTH
+
 # centered interior stencils, second order
 _D1 = np.array([-0.5, 0.0, 0.5])                                   # / h
 _D3 = np.array([-0.5, 1.0, 0.0, -1.0, 0.5])                        # / h^3
@@ -86,19 +88,25 @@ _TRACEL = _TRACE0
 class SpatialOperator:
     """Discrete a*d_x + b*d_x^3 - d_x^5 with its boundary machinery.
 
-    apply(u, F) approximates the operator applied to the grid function that
-    interpolates u with the stated boundary conditions.
+    A u + g_F * F approximates the operator applied to the grid function that
+    interpolates u with the stated boundary conditions.  A is stored as its
+    diagonals in scipy's solve_banded layout, bands[BANDWIDTH + i - j, j].
     """
 
     grid: Grid
-    A: np.ndarray              # N x N, bandwidth <= 4 each side
+    bands: np.ndarray          # (2*BANDWIDTH+1, N) diagonals of A
     g_F: np.ndarray            # boundary forcing vector (support near x = L)
     trace0_vec: np.ndarray     # row functional for u_xx(0)
     traceL_vec: np.ndarray     # row functional for u_xx(L) (diagnostic)
-    D1: np.ndarray             # centered first derivative, zero-Dirichlet closure
 
-    def apply(self, u: np.ndarray, F: float = 0.0) -> np.ndarray:
-        return self.A @ u + self.g_F * F
+    def dense(self) -> np.ndarray:
+        """A as an N x N array."""
+        N = self.bands.shape[1]
+        A = np.zeros((N, N))
+        for d in range(-BANDWIDTH, BANDWIDTH + 1):      # d = i - j
+            j = np.arange(max(0, -d), min(N, N - d))
+            A[j + d, j] = self.bands[BANDWIDTH + d, j]
+        return A
 
     def trace_uxx0(self, u: np.ndarray) -> float:
         return float(self.trace0_vec @ u)
@@ -109,37 +117,30 @@ class SpatialOperator:
 
 def build_operator(params: PhysicalParams, grid: Grid) -> SpatialOperator:
     N, h = grid.N, grid.h
-
-    # extended values u_{-2}..u_{N+3} as affine functions of (u_1..u_N, F):
-    # ext[i] = (weight row over interior u, coefficient of F)
-    ext_w = {}
-    ext_f = {}
-    for j in range(1, N + 1):
-        row = np.zeros(N)
-        row[j - 1] = 1.0
-        ext_w[j], ext_f[j] = row, 0.0
-    ext_w[0] = ext_w[N + 1] = np.zeros(N)
-    ext_f[0] = ext_f[N + 1] = 0.0
-    for idx, coeffs in ((-1, _GL1), (-2, _GL2)):
-        row = np.zeros(N)
-        row[0:5] = coeffs
-        ext_w[idx], ext_f[idx] = row, 0.0
-    for idx, (w, fc) in ((N + 2, (_GR1_W, _GR1_F)), (N + 3, (_GR2_W, _GR2_F))):
-        row = np.zeros(N)
-        row[N - 1:N - 5:-1] = w     # weights on u_N, u_{N-1}, u_{N-2}, u_{N-3}
-        ext_w[idx], ext_f[idx] = row, fc * h * h
-
-    A = np.zeros((N, N))
+    bands = np.zeros((2 * BANDWIDTH + 1, N))
     g_F = np.zeros(N)
+    # ghost index -> (interior columns, weights, coefficient of F)
+    left, right = np.arange(5), N - 1 - np.arange(4)    # u_N, u_{N-1}, ...
+    ghosts = {-1: (left, _GL1, 0.0), -2: (left, _GL2, 0.0),
+              N + 2: (right, _GR1_W, _GR1_F * h * h),
+              N + 3: (right, _GR2_W, _GR2_F * h * h)}
+
+    # Row i of stencil offset o reads u_{i+1+o}: an interior value adds
+    # scale*c on diagonal -o, a ghost adds its weights and F-coefficient.
+    # Every entry sums its terms in stencil -> offset order.
     for stencil, scale in ((_D1, params.a / h), (_D3, params.b / h ** 3),
                            (-_D5, 1.0 / h ** 5)):
         half = len(stencil) // 2
-        for j in range(1, N + 1):
-            for o, c in zip(range(-half, half + 1), stencil):
-                if c == 0.0:
-                    continue
-                A[j - 1] += scale * c * ext_w[j + o]
-                g_F[j - 1] += scale * c * ext_f[j + o]
+        for o, c in zip(range(-half, half + 1), stencil):
+            if c == 0.0:
+                continue
+            sc = scale * c
+            bands[BANDWIDTH - o, max(0, o):min(N, N + o)] += sc
+            for k, (cols, w, f) in ghosts.items():
+                i = k - 1 - o                       # the row that reads u_k
+                if 0 <= i < N:
+                    bands[BANDWIDTH + i - cols, cols] += sc * w
+                    g_F[i] += sc * f
     # the operator is a*d_x + b*d_x^3 - d_x^5, hence the -_D5 above
 
     trace0 = np.zeros(N)
@@ -147,15 +148,8 @@ def build_operator(params: PhysicalParams, grid: Grid) -> SpatialOperator:
     traceL = np.zeros(N)
     traceL[N - 1:N - 6:-1] = _TRACEL / h ** 2
 
-    D1 = np.zeros((N, N))
-    for j in range(N):
-        if j > 0:
-            D1[j, j - 1] = -0.5 / h
-        if j < N - 1:
-            D1[j, j + 1] = 0.5 / h
-
-    return SpatialOperator(grid=grid, A=A, g_F=g_F, trace0_vec=trace0,
-                           traceL_vec=traceL, D1=D1)
+    return SpatialOperator(grid=grid, bands=bands, g_F=g_F, trace0_vec=trace0,
+                           traceL_vec=traceL)
 
 
 def mass_and_weighted_mass(u: np.ndarray, grid: Grid):

@@ -191,12 +191,6 @@ def z_energy(buf: HistoryBuffer, kernel: MemoryKernel, weight: str = "plain",
     return float(np.trapezoid(vals, s))
 
 
-def z_boundary_norm(buf: HistoryBuffer, kernel: MemoryKernel, delta: float = 0.0,
-                    t_eval: float | None = None) -> float:
-    """int lam(s) exp(-delta*s) w(t-s)^2 ds (the z(t,1,s) boundary term)."""
-    return trace_sq_integral(buf, kernel, weight="exp", delta=delta, t_eval=t_eval)
-
-
 def trace_sq_integral(buf: HistoryBuffer, kernel: MemoryKernel, weight: str = "one",
                       delta: float = 0.0, t_eval: float | None = None) -> float:
     """int lam(s) W(s) w(t-s)^2 ds with W in {1, s, exp(-delta*s)}."""

@@ -230,7 +230,10 @@ def is_negative_definite(M: np.ndarray) -> bool:
 def r_max(params: PhysicalParams) -> float:
     """Smallness radius ((p+2)(3 pi^2 b - a L^2) / (2 pi^2 L^(2-p/2)))^(1/p)."""
     pi2 = math.pi * math.pi
-    gap = 3.0 * pi2 * params.b - params.a * params.L ** 2
+    try:
+        gap = 3.0 * pi2 * params.b - params.a * params.L ** 2
+    except OverflowError:   # L ** 2 beyond the float range
+        gap = -math.inf
     if gap <= 0.0:
         raise ConditionError("length condition violated: L >= sqrt(3b/a)*pi")
     p = params.p

@@ -10,9 +10,9 @@ nonlinearity via second-order Adams-Bashforth extrapolation (explicit Euler
 bootstrap on the first step).  The implicit solve is a banded system,
 factored once with LAPACK gbtrf, plus a rank-one Sherman-Morrison
 correction.  Every state-advancing operation keeps the arithmetic of the
-plain formulation (a dense D1 matvec, `memory.memory_integral`,
-`scipy.linalg.solve_banded` per step) bit for bit: a single rounding change
-early in a run moves the final energy by up to ~1e-5 relative.
+plain formulation (dense matvecs, `memory.memory_integral`, `solve_banded`
+per step) bit for bit: a single rounding change early in a run moves the
+final energy by up to ~1e-5 relative.
 
 The nonlinearity uses the split u^p u_x ~ (D1(g) + |u|^p (D1 u)) / (p+2)
 with g = |u|^p u, which is consistent for all p in [1, 2] and makes
@@ -29,12 +29,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .discretization import Grid, SpatialOperator, build_operator
+from .discretization import BANDWIDTH, Grid, SpatialOperator, build_operator
 from .memory import (HistoryBuffer, LagQuadrature, TraceWeights,
                      feedback_integral, weighted_trace)
 from .model import FeedbackGains, MemoryKernel, PhysicalParams
-
-_BW = 4  # operator bandwidth each side
 
 
 class SolverAbort(RuntimeError):
@@ -74,6 +72,11 @@ class SimConfig:
             raise ValueError("T_end must be nonnegative")
         if self.dt > self.kernel.tau1:
             raise ValueError("dt must not exceed tau1")
+
+    @property
+    def n_steps(self) -> int:
+        """Time steps to reach T_end; the last one may overshoot it."""
+        return math.ceil(self.T_end / self.dt - 1e-12) if self.T_end > 0 else 0
 
 
 @dataclass
@@ -121,19 +124,13 @@ class _ImplicitSystem:
 
     def __init__(self, op: SpatialOperator, dt: float, alpha: float, theta: float):
         cdt = theta * dt
-        N = len(op.g_F)
-        # LAPACK band storage ab[2*_BW + i - j, j] = M[i, j]; gbtrf uses the
-        # top _BW rows for the fill-in of partial pivoting
-        ab = np.zeros((3 * _BW + 1, N))
-        for k in range(-_BW, _BW + 1):
-            row = ab[2 * _BW - k]
-            diag = cdt * np.diagonal(op.A, k)
-            if k >= 0:
-                row[k:] = diag
-            else:
-                row[:N + k] = diag
-        ab[2 * _BW] += 1.0
-        self.lu, self.piv, info = dgbtrf(ab, _BW, _BW, overwrite_ab=True)
+        # LAPACK band storage ab[2*BANDWIDTH + i - j, j] = M[i, j]; gbtrf uses
+        # the top BANDWIDTH rows for the fill-in of partial pivoting
+        ab = np.zeros((3 * BANDWIDTH + 1, len(op.g_F)))
+        ab[BANDWIDTH:] = cdt * op.bands
+        ab[2 * BANDWIDTH] += 1.0
+        self.lu, self.piv, info = dgbtrf(ab, BANDWIDTH, BANDWIDTH,
+                                         overwrite_ab=True)
         if info != 0:
             raise SolverAbort("singular implicit system", 0, 0.0)
         self.q = self.solve(op.g_F)
@@ -144,7 +141,7 @@ class _ImplicitSystem:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The banded solve (without the rank-one term)."""
-        y, info = dgbtrs(self.lu, _BW, _BW, rhs, self.piv)
+        y, info = dgbtrs(self.lu, BANDWIDTH, BANDWIDTH, rhs, self.piv)
         if info != 0:
             raise SolverAbort("singular implicit system", 0, 0.0)
         return y
@@ -159,13 +156,18 @@ class Stepper:
         self.op = op if op is not None else build_operator(config.params, self.grid)
         dt = config.dt
         alpha = config.gains.alpha
-        self.rhs_mat = np.eye(config.N) - 0.5 * dt * self.op.A
+        # I - dt/2 A in place, the one dense N x N array (a banded matvec
+        # rounds differently); 0.0 - x keeps the +0 of the zero entries
+        self.rhs_mat = self.op.dense()
+        self.rhs_mat *= 0.5 * dt
+        np.subtract(0.0, self.rhs_mat, out=self.rhs_mat)
+        self.rhs_mat.flat[::config.N + 1] += 1.0
         self.cn = _ImplicitSystem(self.op, dt, alpha, 0.5)
         # backward-Euler startup system (Rannacher smoothing of rough data)
         self.be = _ImplicitSystem(self.op, dt, alpha, 1.0)
         self.n_startup = config.startup_steps
-        # the rows of D1 are (-c, 0, c) about the diagonal
-        self._d1 = float(self.op.D1[0, 1])
+        # centered first difference, rows (-c, 0, c) about the diagonal
+        self._d1 = 0.5 / self.grid.h
         self.memory_quad = LagQuadrature(config.kernel)
         self.trace_weights = TraceWeights(config.kernel, dt, config.gains.delta)
         if config.mms_amplitude is not None:
@@ -270,16 +272,16 @@ class RunResult:
     mms_error: Optional[float] = None
 
 
-def run(config: SimConfig, stepper: Stepper | None = None) -> RunResult:
+def run(config: SimConfig) -> RunResult:
     """Advance to T_end, recording diagnostics every record_every steps.
 
     Deterministic: identical configs produce bitwise-identical trajectories.
     """
     from . import diagnostics  # local import: diagnostics also drives runs
 
-    st = stepper if stepper is not None else Stepper(config)
+    st = Stepper(config)
     state = st.initial_state()
-    n_steps = math.ceil(config.T_end / config.dt - 1e-12) if config.T_end > 0 else 0
+    n_steps = config.n_steps
 
     records = []
     cols = {k: [] for k in ("t", "w", "F", "l2", "lam_z1sq", "slam_z1sq")}

@@ -109,7 +109,7 @@ def test_criterion_02_stencil_exactness():
         grid = Grid(N, L)
         op = build_operator(params, grid)
         xg = grid.x
-        res = op.apply(d[0](xg), F=0.0) - (d[1](xg) + d[3](xg) - d[5](xg))
+        res = op.dense() @ d[0](xg) - (d[1](xg) + d[3](xg) - d[5](xg))
         errs.append(np.abs(res).max())
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     ok = exact and all(1.8 <= o <= 2.2 for o in orders)

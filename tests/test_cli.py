@@ -1,10 +1,16 @@
 """CLI contract: config handling, outputs, exit codes, determinism."""
 
+import contextlib
+import csv
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import REFERENCE_DOC, reference_sim_config
 from kawalab import cli
@@ -146,6 +152,42 @@ def test_exit_1_bad_sine_profile(tmp_path, capsys, u0):
     assert "initial.u0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch, field", [
+    ({"mms_amplitude": [1]}, "mms_amplitude"),
+    ({"mms_amplitude": True}, "mms_amplitude"),
+    ({"numerics": {"N": 5}}, "numerics.N"),
+    ({"initial": {"u0": 3}}, "initial.u0"),
+    ({"initial": {"z0": {"type": "tabulated", "times": ["a"], "values": [1.0]}}},
+     "initial.z0.times"),
+    ({"numerics": {"T_end": 0}}, "numerics.T_end"),
+])
+def test_exit_1_malformed_field_named(tmp_path, capsys, patch, field):
+    """Each of these ended in a traceback or a silent zero-step run."""
+    doc = doc_with(**{k: v for k, v in patch.items() if isinstance(v, dict)})
+    doc.update({k: v for k, v in patch.items() if not isinstance(v, dict)})
+    rc = main(["run", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, patch, field", [
+    ("numerics", {"N": 10 ** 400}, "numerics.N"),
+    ("numerics", {"N": cli.MAX_N + 1}, "numerics.N"),
+    ("numerics", {"T_end": 1e300}, "numerics.T_end"),
+    ("kernel", {"tau2": 1e300}, "kernel.tau2"),
+])
+def test_exit_1_beyond_resource_limits(tmp_path, capsys, section, patch, field):
+    """Values that would allocate without bound or never finish are
+    rejected before anything is allocated."""
+    doc = doc_with(**{section: patch})
+    rc = main(["run", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+
+
 def test_sim_config_rejects_non_finite():
     for field in ("T_end", "dt"):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -272,15 +314,84 @@ def test_sweep_bad_axis_is_config_error(tmp_path, reference_config_path, capsys)
     assert "axis" in capsys.readouterr().err
 
 
-def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv("KAW_WORKERS", "3")
-    assert cli._worker_count(8) == 3
-    monkeypatch.delenv("KAW_WORKERS")
+def test_worker_count():
     assert cli._worker_count(8) == 8
     assert cli._worker_count(None) >= 1
-    monkeypatch.setenv("KAW_WORKERS", "zebra")
-    with pytest.raises(ConfigError):
-        cli._worker_count(None)
+
+
+def test_sweep_csv_quotes_failure_messages(tmp_path, reference_config_path,
+                                          monkeypatch):
+    """A failure message with ',', '"' and a newline round-trips through
+    csv.reader; a row without them is written as plain comma-joined text."""
+    message = 'bad value, "quoted"\nsecond line'
+
+    def fake_worker(args):
+        idx, _, _, value = args
+        return {"index": idx, "value": value, "status": "ok" if idx else "aborted",
+                "certified": "true", "failures": "" if idx else message,
+                "rate": "0.25" if idx else "", "r2": "0.5" if idx else "",
+                "mms_error": ""}
+
+    monkeypatch.setattr(cli, "_sweep_worker", fake_worker)
+    rc = main(["sweep", "--config", reference_config_path, "--out",
+               str(tmp_path), "--axis", "gains.alpha", "--values", "0.1,0.2",
+               "--workers", "1"])
+    assert rc == 0
+    text = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["value", "status", "certified", "failures", "rate",
+                       "r2", "mms_error"]
+    assert rows[1] == ["0.1", "aborted", "true", message, "", "", ""]
+    assert text.endswith("\n0.2,ok,true,,0.25,0.5,\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one field of the reference config replaced by a bad value
+
+
+_MISSING = object()
+_FUZZ_DOC = doc_with(numerics={"T_end": 0.05},
+                     initial={"z0": {"type": "sinusoid", "amplitude": 0.1,
+                                     "omega": 2.0}})
+_FUZZ_DOC["mms_amplitude"] = None
+
+
+def _paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing runs
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(path=st.sampled_from(sorted(_paths(_FUZZ_DOC))),
+       value=st.sampled_from(["abc", [1], {}, None, True, math.nan, -1, -1.5,
+                              1e300, 10 ** 400, _MISSING]))
+def test_fuzz_run_exits_with_documented_code(path, value):
+    """Every such config ends in exit code 0-4; no exception escapes, and a
+    config error names the field (its last key)."""
+    doc = json.loads(json.dumps(_FUZZ_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is _MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", cfg, "--out",
+                       os.path.join(tmp, "out")])
+    assert rc in (0, 1, 2, 3, 4)
+    if rc == 1:
+        assert path[-1] in err.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Spatial operator: stencil exactness, consistency order, traces, structure."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kawalab.discretization import (_D5, Grid, build_operator,
+from conftest import dense_d1, dense_operator_oracle, reference_sim_config
+from kawalab.discretization import (_D5, BANDWIDTH, Grid, build_operator,
                                     mass_and_weighted_mass)
 from kawalab.model import PhysicalParams
+from kawalab.solver import Stepper
 
 
 def _exact_operator(params, v, v1, v3, v5, x):
@@ -39,7 +42,7 @@ def test_interior_rows_exact_on_x5():
     # the d5 content alone by cancelling the lower-order parts of two builds.
     params0 = PhysicalParams(a=1e-30, b=1e-30, L=float(N + 1), p=1.0)
     op0 = build_operator(params0, grid)
-    vals = -(op0.A @ u)   # pure +d5 content
+    vals = -(op0.dense() @ u)   # pure +d5 content
     for j in range(6, N - 6):
         assert vals[j] == pytest.approx(120.0, abs=1e-9)
 
@@ -61,7 +64,7 @@ def test_operator_consistency_order():
         grid = Grid(N, L)
         op = build_operator(params, grid)
         x = grid.x
-        approx = op.apply(v(x), F=0.0)   # v''(L) = 0 for this profile
+        approx = op.dense() @ v(x)   # v''(L) = 0 for this profile
         exact = params.a * d[1](x) + params.b * d[3](x) - d[5](x)
         errs.append(np.abs(approx - exact).max())
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -99,20 +102,51 @@ def test_bandwidth_and_structure():
     params = PhysicalParams(a=1.0, b=1.0, L=2.0, p=1.0)
     op = build_operator(params, Grid(40, 2.0))
     N = 40
+    assert op.bands.shape == (2 * BANDWIDTH + 1, N)
+    A = op.dense()
     for i in range(N):
         for j in range(N):
             if abs(i - j) > 4:
-                assert op.A[i, j] == 0.0
+                assert A[i, j] == 0.0
+            else:
+                assert A[i, j] == op.bands[BANDWIDTH + i - j, j]
     # forcing acts only near x = L, traces only near their boundary
     assert np.all(op.g_F[:N - 5] == 0.0)
     assert np.all(op.trace0_vec[5:] == 0.0)
     assert np.all(op.traceL_vec[:N - 5] == 0.0)
 
 
+@pytest.mark.parametrize("N", [12, 13, 40, 128, 512, 2048])
+@pytest.mark.parametrize("a, b, L", [(1.0, 1.0, math.pi), (0.7, 1.3, 2.0),
+                                     (1.0, 1.0, 3.7)])
+def test_band_assembly_matches_dense_oracle_bitwise(a, b, L, N):
+    """A and g_F equal the dense-row assembly bit for bit, signed zeros too."""
+    params = PhysicalParams(a=a, b=b, L=L, p=1.0)
+    grid = Grid(N, L)
+    op = build_operator(params, grid)
+    A, g_F = dense_operator_oracle(params, grid)
+    assert (op.dense().view(np.int64) == A.view(np.int64)).all()
+    assert (op.g_F.view(np.int64) == g_F.view(np.int64)).all()
+
+
+def test_build_operator_allocates_no_dense_matrix():
+    N = 2048
+    params = PhysicalParams(a=1.0, b=1.0, L=math.pi, p=1.0)
+    tracemalloc.start()
+    try:
+        build_operator(params, Grid(N, math.pi))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8 / 100
+
+
 def test_d1_antisymmetric():
-    params = PhysicalParams(a=1.0, b=1.0, L=2.0, p=1.0)
-    op = build_operator(params, Grid(30, 2.0))
-    assert (op.D1 == -op.D1.T).all()
+    """The solver's centered difference, applied to the unit vectors."""
+    st = Stepper(reference_sim_config(N=30, T_end=0.0))
+    D1 = np.column_stack([st._apply_d1(e) for e in np.eye(30)])
+    assert (D1 == -D1.T).all()
+    assert (D1 == dense_d1(30, st.grid.h)).all()
 
 
 @settings(max_examples=50, deadline=None)
@@ -122,8 +156,9 @@ def test_apply_is_affine_in_u_and_F(seed, F):
     op = build_operator(params, Grid(24, 2.0))
     rng = np.random.default_rng(seed)
     u1, u2 = rng.standard_normal(24), rng.standard_normal(24)
-    lhs = op.apply(u1 + u2, F)
-    rhs = op.apply(u1, F) + op.apply(u2, 0.0)
+    A = op.dense()
+    lhs = A @ (u1 + u2) + op.g_F * F
+    rhs = A @ u1 + op.g_F * F + A @ u2
     scale = np.abs(lhs).max() + 1.0
     assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from kawalab.memory import (HistoryBuffer, LagQuadrature, TraceWeights,
                             feedback_integral, memory_integral,
-                            trace_sq_integral, weighted_trace, z_boundary_norm,
-                            z_energy)
+                            trace_sq_integral, weighted_trace, z_energy)
 from kawalab.model import MemoryKernel
 
 
@@ -116,8 +115,6 @@ def test_trace_sq_integrals_constant_history():
     assert trace_sq_integral(buf, KERNEL, "s") == pytest.approx(6.0, rel=1e-12)
     exact = 4.0 * (math.exp(-1.0) - math.exp(-2.0))
     assert trace_sq_integral(buf, KERNEL, "exp", delta=1.0) == \
-        pytest.approx(exact, rel=1e-5)
-    assert z_boundary_norm(buf, KERNEL, delta=1.0) == \
         pytest.approx(exact, rel=1e-5)
 
 

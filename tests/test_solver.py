@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf
 
-from conftest import reference_sim_config
+from conftest import dense_d1, dense_operator_oracle, reference_sim_config
+from kawalab.discretization import BANDWIDTH
 from kawalab.memory import memory_integral
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams
 from kawalab.solver import SimConfig, SolverAbort, Stepper, run
@@ -142,17 +144,21 @@ def test_run_record_schedule():
 
 
 class ReferenceStepper:
-    """The plain formulation of Stepper.step: banded matrices copied entry by
-    entry from the dense I + theta dt A and solved with solve_banded on every
-    step, memory_integral for the feedback and dense D1 matvecs."""
+    """The plain formulation of Stepper.step on the dense-row assembly of A:
+    banded matrices copied entry by entry from the dense I + theta dt A and
+    solved with solve_banded on every step, memory_integral for the feedback
+    and dense D1 matvecs."""
 
     def __init__(self, st):
         self.st = st
         cfg, op = st.config, st.op
         dt, alpha, N = cfg.dt, cfg.gains.alpha, cfg.N
+        self.A, g_F = dense_operator_oracle(cfg.params, st.grid)
+        assert (g_F == op.g_F).all()
+        self.D1 = dense_d1(N, st.grid.h)
         self.systems = {}
         for be, theta_dt in ((False, 0.5 * dt), (True, dt)):
-            ab = self.to_banded(np.eye(N) + theta_dt * op.A)
+            ab = self.to_banded(np.eye(N) + theta_dt * self.A)
             q = solve_banded((4, 4), ab, op.g_F)
             denom = 1.0 + theta_dt * alpha * float(op.trace0_vec @ q)
             self.systems[be] = (ab, q, theta_dt * alpha, denom)
@@ -172,7 +178,7 @@ class ReferenceStepper:
         return y - c * float(self.st.op.trace0_vec @ y) / denom * q
 
     def nonlinear(self, u):
-        p, D1 = self.st.config.params.p, self.st.op.D1
+        p, D1 = self.st.config.params.p, self.D1
         up = u ** int(p)
         return (D1 @ (up * u) + up * (D1 @ u)) / (p + 2.0)
 
@@ -194,7 +200,7 @@ class ReferenceStepper:
         if be:
             rhs = u + dt * expl
         else:
-            rhs = (np.eye(cfg.N) - 0.5 * dt * op.A) @ u
+            rhs = (np.eye(cfg.N) - 0.5 * dt * self.A) @ u
             rhs -= 0.5 * dt * cfg.gains.alpha * op.trace_uxx0(u) * op.g_F
             rhs += dt * expl
         u_new = self.solve(rhs, be)
@@ -243,6 +249,32 @@ def test_implicit_solve_matches_solve_banded_bitwise(N):
             assert (st._solve_implicit(rhs.copy(), be=be) == ref.solve(rhs, be)).all()
 
 
+@pytest.mark.parametrize("N", [12, 128, 2048])
+def test_set_up_matches_dense_oracle_bitwise(N):
+    """rhs_mat and the LU factors and pivots of both implicit systems equal
+    those built from the dense-row assembly of A, signed zeros included."""
+    cfg = reference_sim_config(N=N, T_end=0.0)
+    st = Stepper(cfg)
+    A, _ = dense_operator_oracle(cfg.params, st.grid)
+    dt = cfg.dt
+    rhs_mat = np.eye(N) - 0.5 * dt * A
+    assert (st.rhs_mat.view(np.int64) == rhs_mat.view(np.int64)).all()
+    for system, theta in ((st.cn, 0.5), (st.be, 1.0)):
+        ab = np.zeros((3 * BANDWIDTH + 1, N))
+        for k in range(-BANDWIDTH, BANDWIDTH + 1):
+            diag = theta * dt * np.diagonal(A, k)
+            row = ab[2 * BANDWIDTH - k]
+            if k >= 0:
+                row[k:] = diag
+            else:
+                row[:N + k] = diag
+        ab[2 * BANDWIDTH] += 1.0
+        lu, piv, info = dgbtrf(ab, BANDWIDTH, BANDWIDTH)
+        assert info == 0
+        assert (system.lu.view(np.int64) == lu.view(np.int64)).all()
+        assert (system.piv == piv).all()
+
+
 def test_nonlinear_matches_dense_d1_bitwise():
     st = Stepper(reference_sim_config(N=128, T_end=0.0))
     ref = ReferenceStepper(st)
@@ -256,8 +288,8 @@ def test_singular_implicit_system_aborts():
     """A zero pivot in the band factorization is reported, not solved."""
     cfg = reference_sim_config(N=32, T_end=0.0)
     st = Stepper(cfg)
-    A = np.zeros_like(st.op.A)
-    A[5, 5] = -1.0 / (0.5 * cfg.dt)    # I + dt/2 A has a zero row
-    op = replace(st.op, A=A)
+    bands = np.zeros_like(st.op.bands)
+    bands[BANDWIDTH, 5] = -1.0 / (0.5 * cfg.dt)    # I + dt/2 A has a zero row
+    op = replace(st.op, bands=bands)
     with pytest.raises(SolverAbort, match="singular implicit system"):
         Stepper(cfg, op)
