@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -116,9 +116,13 @@ def build_model(doc: dict):
         samples = ()
         if form == "tabulated":
             raw = kp.get("samples")
-            if not raw:
-                raise ConfigError("kernel.params.samples required for tabulated")
             name = "kernel.params.samples"
+            if not raw:
+                raise ConfigError(f"{name} required for tabulated")
+            if not (isinstance(raw, list) and all(
+                    isinstance(p, list) and len(p) == 2 for p in raw)):
+                raise ConfigError(f"field '{name}' must be a list of [s, value]"
+                                  f" pairs, got {raw!r}")
             samples = tuple((_float(s, name), _float(v, name)) for s, v in raw)
         kernel = MemoryKernel(tau1=_num(k, "kernel", "tau1"),
                               tau2=_num(k, "kernel", "tau2"),
@@ -382,6 +386,9 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     _sweep_axis_set(doc, axis, values[0])  # validate axis up front
     jobs = [(i, doc, axis, v) for i, v in enumerate(values)]
     if workers > 1 and len(jobs) > 1:
+        # local import: the pool machinery is loaded only when a pool runs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
@@ -403,6 +410,9 @@ def cmd_verify(doc: dict, out: str) -> int:
     config = build_sim_config(doc)
     params, gains, kernel = config.params, config.gains, config.kernel
     checks = []
+    # check i took stamps[i + 1] - stamps[i]; printed only, so that
+    # report.json stays deterministic
+    stamps = [time.perf_counter()]
 
     def add(name, lhs, rhs, ok, note=""):
         entry = {"check_name": name, "lhs": lhs, "rhs": rhs,
@@ -412,6 +422,7 @@ def cmd_verify(doc: dict, out: str) -> int:
         if note:
             entry["note"] = note
         checks.append(entry)
+        stamps.append(time.perf_counter())
 
     cert = build_certificate(params, gains, kernel)
     add("certificate", None, None, cert.ok,
@@ -463,9 +474,9 @@ def cmd_verify(doc: dict, out: str) -> int:
     report = {"checks": checks, "observability_ratios": ratios,
               "spectral": spectral, "all_pass": all_ok}
     _write_json(os.path.join(_ensure_out(out), "report.json"), report)
-    for c in checks:
+    for c, t0, t1 in zip(checks, stamps, stamps[1:]):
         status = {True: "PASS", False: "FAIL", None: "INFO"}[c["pass"]]
-        print(f"[{status}] {c['check_name']}"
+        print(f"[{status}] {c['check_name']} ({t1 - t0:.2f} s)"
               + (f": {c.get('note')}" if c.get("note") else ""))
     return 0 if all_ok else 2
 

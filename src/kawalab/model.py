@@ -10,10 +10,9 @@ closed forms, never from a sampled eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 
 class ConditionError(ValueError):
@@ -106,6 +105,10 @@ class MemoryKernel:
             if weight == "s_exp":
                 return self.c * _int_s_exp(self.sigma + theta, t1, t2)
         else:
+            # local import: scipy.integrate (with scipy.special and
+            # scipy.optimize) costs ~0.3 s and only tabulated kernels use it
+            from scipy.integrate import quad
+
             if weight == "one":
                 w = lambda s: 1.0
             elif weight == "s":
@@ -264,19 +267,6 @@ def mu_guaranteed(params: PhysicalParams, gains: FeedbackGains,
                - 2.0 * pi2 * L ** (2.0 - p / 2.0) * r ** p)
     term2 = gains.mu1 * bracket / (2.0 * L * L * (1.0 + L * gains.mu1) * (p + 2.0))
     return min(term1, term2)
-
-
-def find_certified_weights(params: PhysicalParams, gains: FeedbackGains,
-                           kernel: MemoryKernel, start: float = 1.0,
-                           max_halvings: int = 60) -> FeedbackGains:
-    """Halve (mu1, mu2) from (start, start) until T(mu1, mu2) is negative definite."""
-    mu = start
-    for _ in range(max_halvings + 1):
-        cand = replace(gains, mu1=mu, mu2=mu)
-        if is_negative_definite(assemble_T(cand, kernel, params)):
-            return cand
-        mu *= 0.5
-    raise ConditionError("no certified (mu1, mu2) found by halving search")
 
 
 @dataclass(frozen=True)

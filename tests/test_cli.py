@@ -6,6 +6,9 @@ import io
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -16,6 +19,7 @@ from conftest import REFERENCE_DOC, reference_sim_config
 from kawalab import cli
 from kawalab.cli import (ConfigError, build_model, build_sim_config,
                          load_config, main)
+from kawalab.model import MemoryKernel
 
 
 def write_doc(tmp_path, doc, name="cfg.json"):
@@ -160,6 +164,10 @@ def test_exit_1_bad_sine_profile(tmp_path, capsys, u0):
     ({"initial": {"z0": {"type": "tabulated", "times": ["a"], "values": [1.0]}}},
      "initial.z0.times"),
     ({"numerics": {"T_end": 0}}, "numerics.T_end"),
+    ({"kernel": {"form": "tabulated", "params": {"samples": [1, 2]}}},
+     "kernel.params.samples"),
+    ({"kernel": {"form": "tabulated", "params": {"samples": [[1.2, 1.0, 3]]}}},
+     "kernel.params.samples"),
 ])
 def test_exit_1_malformed_field_named(tmp_path, capsys, patch, field):
     """Each of these ended in a traceback or a silent zero-step run."""
@@ -398,7 +406,7 @@ def test_fuzz_run_exits_with_documented_code(path, value):
 # verify
 
 
-def test_verify_reference_passes(tmp_path):
+def test_verify_reference_passes(tmp_path, capsys):
     doc = doc_with(numerics={"T_end": 5.0, "linear_only": True})
     rc = main(["verify", "--config", write_doc(tmp_path, doc),
                "--out", str(tmp_path)])
@@ -408,6 +416,12 @@ def test_verify_reference_passes(tmp_path):
     names = {c["check_name"] for c in report["checks"]}
     assert {"est3", "est4", "sandwich", "energy_monotone",
             "observability_c_obs", "spectral_lemma"} <= names
+    # each check's wall time is printed, and kept out of report.json
+    lines = capsys.readouterr().out.splitlines()
+    assert [re.match(r"\[(PASS|INFO)\] (\w+) \(\d+\.\d\d s\)", ln)[2]
+            for ln in lines] == [c["check_name"] for c in report["checks"]]
+    assert all(set(c) <= {"check_name", "lhs", "rhs", "margin", "pass", "note"}
+               for c in report["checks"])
 
 
 def test_verify_nonlinear_reports_apriori_skipped(tmp_path):
@@ -421,3 +435,47 @@ def test_verify_nonlinear_reports_apriori_skipped(tmp_path):
     notes = [c.get("note", "") for c in report["checks"]
              if c["check_name"] == "apriori"]
     assert notes and "skipped (nonlinear" in notes[0]
+
+
+# ---------------------------------------------------------------------------
+# start-up: a command imports only the modules it runs
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEFERRED = ("scipy.integrate", "scipy.special", "scipy.optimize", "sympy",
+            "concurrent.futures.process")
+
+
+def fresh_python(code: str) -> str:
+    """stdout of `code` run in a new interpreter that imports kawalab from src."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_run_set_up_imports_no_deferred_module():
+    """Importing the CLI and setting up the reference run loads neither the
+    quadrature stack (tabulated kernels), sympy (MMS) nor the process pool
+    (sweeps): they cost ~0.3 s and ~24 MB in every process."""
+    config = os.path.join(REPO, "configs", "reference.json")
+    loaded = fresh_python(f"""
+import sys
+import kawalab.cli as cli
+from kawalab.solver import Stepper
+Stepper(cli.build_sim_config(cli.load_config({config!r})))
+print([m for m in {DEFERRED!r} if m in sys.modules])
+""")
+    assert loaded.strip() == "[]"
+
+
+def test_tabulated_moment_imports_quadrature_where_used():
+    out = fresh_python("""
+import sys
+from kawalab.model import MemoryKernel
+before = "scipy.integrate" in sys.modules
+k = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
+                 samples=((0.5, 1.0), (2.5, 1.0)))
+print(before, "scipy.integrate" in sys.modules, repr(k.moment("s_exp", 1.0)))
+""").split()
+    assert out[:2] == ["False", "True"]
+    constant = MemoryKernel(tau1=1.0, tau2=2.0).moment("s_exp", 1.0)
+    assert float(out[2]) == pytest.approx(constant, rel=1e-9)

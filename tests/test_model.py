@@ -12,8 +12,7 @@ from kawalab.model import (ConditionError, FeedbackGains, MemoryKernel,
                            PhysicalParams, assemble_P, assemble_P_star,
                            assemble_T, build_certificate, check_gain_condition,
                            critical_length, det_P_closed_form,
-                           find_certified_weights, is_negative_definite,
-                           mu_guaranteed, r_max)
+                           is_negative_definite, mu_guaranteed, r_max)
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +113,6 @@ def test_T_at_zero_weights_is_P(ref_gains, ref_kernel, ref_params):
     T = assemble_T(bare, ref_kernel, ref_params)
     P = assemble_P(bare, ref_kernel)
     assert (T == P).all()   # bitwise: no perturbation added
-
-
-def test_halving_search_terminates(ref_params, ref_kernel):
-    gains = FeedbackGains(alpha=0.5, beta=0.25, mu1=0.0, mu2=0.0)
-    cert = find_certified_weights(ref_params, gains, ref_kernel)
-    assert cert.mu1 > 0 and cert.mu2 > 0
-    assert is_negative_definite(assemble_T(cert, ref_kernel, ref_params))
-    # never needs more than 60 halvings from (1, 1)
-    assert cert.mu1 >= 0.5 ** 60
 
 
 def test_mu_guaranteed_monotone_in_r(ref_params, ref_gains, ref_kernel):
