@@ -34,6 +34,9 @@ class ConfigError(ValueError):
 # allocation or an endless run; the solver's rhs_mat is N x N (512 MB at 8192).
 MAX_N = 8192
 MAX_SAMPLES = 10 ** 7   # time steps T_end/dt, and history samples tau2/dt
+# the fields that `build_sim_config` reads as integers
+INT_FIELDS = ("seed", "numerics.N", "numerics.record_every",
+              "numerics.startup_steps")
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,15 @@ def cmd_run(doc: dict, out: str) -> int:
     if not cert.ok:
         print("warning: failed certificates (run proceeds): "
               + ", ".join(cert.failures), file=sys.stderr)
-    result = run(config)
+    try:
+        result = run(config)
+    except SolverAbort as e:
+        # the abort's artifact: where it happened and the last finite state
+        _write_json(os.path.join(_ensure_out(out), "report.json"),
+                    {"aborted": {"message": str(e), "step": e.step_index,
+                                 "t": e.t, "last_finite_t": e.last_finite_t,
+                                 "last_finite_l2": e.last_finite_l2}})
+        raise
     _ensure_out(out)
     write_series_csv(os.path.join(out, "series.csv"), result.records)
     _write_json(os.path.join(out, "report.json"),
@@ -335,11 +346,15 @@ def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
         raise ConfigError(f"axis '{axis}': no such field")
     if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
         raise ConfigError(f"axis '{axis}' must name a scalar field")
+    if axis in INT_FIELDS:
+        if not float(value).is_integer():
+            raise ConfigError(f"axis '{axis}' takes integers, got {value!r}")
+        value = int(value)
     out = json.loads(json.dumps(doc))  # deep copy
     n = out
     for key in parts[:-1]:
         n = n[key]
-    n[parts[-1]] = int(value) if leaf == "N" else value
+    n[parts[-1]] = value
     return out
 
 
@@ -383,7 +398,8 @@ def _worker_count(cli_value) -> int:
 def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     if not axis or not values:
         raise ConfigError("sweep requires --axis and --values")
-    _sweep_axis_set(doc, axis, values[0])  # validate axis up front
+    for v in values:    # validate the axis and every value up front
+        _sweep_axis_set(doc, axis, v)
     jobs = [(i, doc, axis, v) for i, v in enumerate(values)]
     if workers > 1 and len(jobs) > 1:
         # local import: the pool machinery is loaded only when a pool runs

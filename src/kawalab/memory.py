@@ -9,11 +9,13 @@ are applied by callers.
 
 `memory_integral`, `trace_sq_integral` and `z_energy` interpolate the history
 at freshly built lag nodes on every call; they are the general path and the
-test oracle.  The time loop uses two set-up-once forms of them:
-`feedback_integral` (the memory feedback, bit-identical to `memory_integral`,
-because the trajectory amplifies a single rounding change) and
-`weighted_trace` (the observation functionals at t_eval = t_now, as fixed
-weights on the stored samples).
+test oracle.  The solver uses set-up-once forms of them:
+`feedback_integrals` (the memory feedback at the one or two times of a step,
+bit-identical to `memory_integral`, because the trajectory amplifies a single
+rounding change), `weighted_trace` (the observation functionals at
+t_eval = t_now, as fixed weights on the stored samples) and `trace_series`
+(those weights run along a whole stored trace after a run, which gives the
+functionals at every step).
 """
 
 from __future__ import annotations
@@ -119,12 +121,13 @@ def memory_integral(buf: HistoryBuffer, kernel: MemoryKernel,
 
 
 class LagQuadrature:
-    """The set-up of `memory_integral`, cached per offset t_eval - t_now.
+    """The set-up of `memory_integral`, cached per tuple of offsets
+    t_eval - t_now.
 
     The lag nodes depend on the time only through that offset, which takes a
     handful of distinct values in a run (t_eval is t_now or t_now + dt, and
-    the two clocks drift apart by rounding); for each one the nodes, the
-    kernel values and the node spacings are kept.
+    the two clocks drift apart by rounding); for each tuple a `LagNodes` is
+    kept.
     """
 
     _MAX_OFFSETS = 256  # a bound on the cache, far above what a run visits
@@ -133,31 +136,57 @@ class LagQuadrature:
         self.kernel = kernel
         self._cache = {}
 
-    def nodes(self, dt: float, off: float):
-        """(lag nodes, lam at the nodes, node spacings) for one offset."""
-        key = (dt, off)
+    def nodes(self, dt: float, offs: tuple) -> "LagNodes":
+        key = (dt, offs)
         hit = self._cache.get(key)
         if hit is None:
             if len(self._cache) >= self._MAX_OFFSETS:
                 self._cache.clear()
-            s = _lag_grid(dt, self.kernel.tau1, self.kernel.tau2, off)[0]
-            hit = self._cache[key] = (s, np.asarray(self.kernel(s)), np.diff(s))
+            hit = self._cache[key] = LagNodes(self.kernel, dt, offs)
         return hit
 
 
-def feedback_integral(buf: HistoryBuffer, quad: LagQuadrature, t_eval: float) -> float:
-    """memory_integral(buf, quad.kernel, t_eval), bit for bit, from cached nodes."""
-    s, lam, d = quad.nodes(buf.dt, t_eval - buf.t_now)
-    x = t_eval - s
-    # t_eval - s decreases along s, so its ends bound it
+class LagNodes:
+    """The lag nodes of each offset, one segment per offset in concatenated
+    arrays: the kernel values, the node spacings (the one that spans two
+    segments is not used) and the scratch arrays of `feedback_integrals`,
+    which make it single-threaded per `LagQuadrature`."""
+
+    def __init__(self, kernel: MemoryKernel, dt: float, offs: tuple):
+        self.segs = [_lag_grid(dt, kernel.tau1, kernel.tau2, off)[0]
+                     for off in offs]
+        self.lam = np.concatenate([np.asarray(kernel(s)) for s in self.segs])
+        self.d = np.diff(np.concatenate(self.segs))
+        n = len(self.lam)
+        self.x, self.y, self.terms = np.empty(n), np.empty(n), np.empty(n - 1)
+        ends = np.cumsum([len(s) for s in self.segs]).tolist()
+        bounds = list(zip([0] + ends[:-1], ends))
+        self.x_segs = [self.x[lo:hi] for lo, hi in bounds]
+        self.term_segs = [self.terms[lo:hi - 1] for lo, hi in bounds]
+
+
+def feedback_integrals(buf: HistoryBuffer, quad: LagQuadrature,
+                       t_evals: tuple) -> list:
+    """[memory_integral(buf, quad.kernel, t) for t in t_evals], bit for bit,
+    from cached nodes and one interpolation over the nodes of all times."""
+    nodes = quad.nodes(buf.dt, tuple([t - buf.t_now for t in t_evals]))
     eps = 1e-9 * buf.dt
-    if x[-1] < buf.t_now - buf.span - eps:
-        raise ValueError("insufficient history span for the memory integral")
-    if x[0] > buf.t_now + eps:
-        raise ValueError("requested time outside the stored history span")
-    y = lam * np.interp(x, buf.times(), buf.w)
-    # np.trapezoid's arithmetic
-    return float((d * (y[1:] + y[:-1]) / 2.0).sum())
+    oldest = buf.t_now - buf.span - eps
+    newest = buf.t_now + eps
+    for t, s, x in zip(t_evals, nodes.segs, nodes.x_segs):
+        # t - s runs from t - tau1 down to t - tau2, the nodes' exact ends
+        if t - quad.kernel.tau2 < oldest:
+            raise ValueError("insufficient history span for the memory integral")
+        if t - quad.kernel.tau1 > newest:
+            raise ValueError("requested time outside the stored history span")
+        np.subtract(t, s, out=x)
+    y, terms = nodes.y, nodes.terms
+    np.multiply(nodes.lam, np.interp(nodes.x, buf.times(), buf.w), out=y)
+    # np.trapezoid's arithmetic, d * (y[1:] + y[:-1]) / 2.0, summed per segment
+    np.add(y[1:], y[:-1], out=terms)
+    np.multiply(nodes.d, terms, out=terms)
+    np.divide(terms, 2.0, out=terms)
+    return [float(np.add.reduce(ts)) for ts in nodes.term_segs]
 
 
 def _cumulative_w2(buf: HistoryBuffer, kernel: MemoryKernel, weight, t: float):
@@ -307,3 +336,34 @@ def weighted_trace(buf: HistoryBuffer, weights: TraceWeights) -> TraceValues:
     with np.errstate(over="ignore", invalid="ignore"):
         quad = weights.quadratic @ (V * V)
     return TraceValues(float(weights.linear @ V), *map(float, quad))
+
+
+def trace_series(w: np.ndarray, weights: TraceWeights):
+    """(memory, lam_sq, slam_sq) of `weighted_trace` at every sample time.
+
+    `w` is a whole trace at spacing weights.dt, oldest first; entry i of each
+    array is the functional at the time of w[K + i], the first time with K
+    samples behind it.  One correlation per functional plus the two
+    interpolated endpoint terms; the values agree with `weighted_trace` to
+    rounding.
+    """
+    K = weights.K
+    n = len(w)
+    if n <= K:
+        raise ValueError("insufficient history span")
+    ends = []
+    for j, f in weights.ends:
+        a = w[K - j:n - j]
+        ends.append(a if f == 0.0 else (1.0 - f) * a + f * w[K - j - 1:n - j - 1])
+    v1, v2 = ends
+
+    def series(row, x, e1, e2):
+        return np.correlate(x, row[:K + 1], "valid") + row[K + 1] * e1 + row[K + 2] * e2
+
+    # a diverging trace may overflow here, as in `weighted_trace`
+    with np.errstate(over="ignore", invalid="ignore"):
+        memory = series(weights.linear, w, v1, v2)
+        w2, s1, s2 = w * w, v1 * v1, v2 * v2
+        lam_sq = series(weights.quadratic[0], w2, s1, s2)
+        slam_sq = series(weights.quadratic[1], w2, s1, s2)
+    return memory, lam_sq, slam_sq

@@ -10,9 +10,13 @@ nonlinearity via second-order Adams-Bashforth extrapolation (explicit Euler
 bootstrap on the first step).  The implicit solve is a banded system,
 factored once with LAPACK gbtrf, plus a rank-one Sherman-Morrison
 correction.  Every state-advancing operation keeps the arithmetic of the
-plain formulation (dense matvecs, `memory.memory_integral`, `solve_banded`
-per step) bit for bit: a single rounding change early in a run moves the
-final energy by up to ~1e-5 relative.
+plain formulation bit for bit: the dense `I - dt/2 A` matvec, the memory
+feedback of `memory.memory_integral` (evaluated by
+`memory.feedback_integrals`), the D1 products and the band solve.  A single
+rounding change early in a run moves the final energy by up to ~1e-5
+relative.  The time loop advances the state and stores t, the trace and
+||u||^2 per step; the history functionals of the series are computed from the
+stored trace after the run (`memory.trace_series`).
 
 The nonlinearity uses the split u^p u_x ~ (D1(g) + |u|^p (D1 u)) / (p+2)
 with g = |u|^p u, which is consistent for all p in [1, 2] and makes
@@ -31,15 +35,21 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .discretization import BANDWIDTH, Grid, SpatialOperator, build_operator
 from .memory import (HistoryBuffer, LagQuadrature, TraceWeights,
-                     feedback_integral, weighted_trace)
+                     feedback_integrals, trace_series, weighted_trace)
 from .model import FeedbackGains, MemoryKernel, PhysicalParams
 
 
 class SolverAbort(RuntimeError):
+    """A run that cannot go on.  `run` fills in the time and the value of
+    the last finite ||u||^2 before the abort (None if there is none); a
+    blow-up overflows ||u||^2 some steps before the state itself."""
+
     def __init__(self, message, step_index, t):
         super().__init__(f"{message} at step {step_index}, t = {t:.6g}")
         self.step_index = step_index
         self.t = t
+        self.last_finite_t = None
+        self.last_finite_l2 = None
 
 
 @dataclass(frozen=True)
@@ -168,6 +178,9 @@ class Stepper:
         self.n_startup = config.startup_steps
         # centered first difference, rows (-c, 0, c) about the diagonal
         self._d1 = 0.5 / self.grid.h
+        # rows (+0, g, -0) and (+0, u, -0) of `nonlinear`, for `_apply_d1`
+        self._pad = np.zeros((2, config.N + 2))
+        self._pad[:, -1] = -0.0
         self.memory_quad = LagQuadrature(config.kernel)
         self.trace_weights = TraceWeights(config.kernel, dt, config.gains.delta)
         if config.mms_amplitude is not None:
@@ -181,14 +194,15 @@ class Stepper:
         y = system.solve(rhs)
         return y - system.c * float(self.op.trace0_vec @ y) / system.denom * system.q
 
-    def _apply_d1(self, v: np.ndarray) -> np.ndarray:
-        """D1 @ v from two shifted slices, the same two products per row."""
-        c = self._d1
-        out = np.empty_like(v)
-        out[0] = c * v[1]
-        out[1:-1] = c * v[2:] - c * v[:-2]
-        out[-1] = -(c * v[-2])
-        return out
+    def _apply_d1(self, pad: np.ndarray) -> np.ndarray:
+        """D1 @ v for each row (+0, v, -0) of `pad`: c v[i+1] - c v[i-1].
+
+        The same two products per row as the dense D1; the zeros make the
+        end rows c v[1] - (+0) = c v[1] and (-0) - c v[-2] = -(c v[-2]),
+        signed zeros included.
+        """
+        cp = self._d1 * pad
+        return cp[..., 2:] - cp[..., :-2]
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
         p = self.config.params.p
@@ -196,8 +210,11 @@ class Stepper:
         # turns the resulting non-finite values into a SolverAbort
         with np.errstate(over="ignore", invalid="ignore"):
             up = _pow_p(u, p)
-            g = up * u
-            return (self._apply_d1(g) + up * self._apply_d1(u)) / (p + 2.0)
+            pad = self._pad
+            np.multiply(up, u, out=pad[0, 1:-1])     # g = |u|^p u
+            pad[1, 1:-1] = u
+            dg, du = self._apply_d1(pad)
+            return (dg + up * du) / (p + 2.0)
 
     def step(self, state: SimState) -> SimState:
         """Advance one step.  The history buffer is advanced in place: the
@@ -213,11 +230,11 @@ class Stepper:
         # explicit memory feedback, fully known from history since tau1 >= dt:
         # midpoint value for CN, end-of-step value for the BE startup steps
         if be:
-            mem = feedback_integral(buf, self.memory_quad, t + dt)
+            (mem,) = feedback_integrals(buf, self.memory_quad, (t + dt,))
             t_force = t + dt
         else:
-            mem = 0.5 * (feedback_integral(buf, self.memory_quad, t)
-                         + feedback_integral(buf, self.memory_quad, t + dt))
+            m0, m1 = feedback_integrals(buf, self.memory_quad, (t, t + dt))
+            mem = 0.5 * (m0 + m1)
             t_force = t + 0.5 * dt
         expl = -self.op.g_F * (cfg.gains.beta * mem)
 
@@ -237,7 +254,7 @@ class Stepper:
             rhs -= 0.5 * dt * cfg.gains.alpha * self.op.trace_uxx0(u) * self.op.g_F
             rhs += dt * expl
         u_new = self._solve_implicit(rhs, be=be)
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise SolverAbort("non-finite state", state.step_index + 1, t + dt)
 
         buf.push(self.op.trace_uxx0(u_new))
@@ -275,6 +292,8 @@ class RunResult:
 def run(config: SimConfig) -> RunResult:
     """Advance to T_end, recording diagnostics every record_every steps.
 
+    The loop stores t, the trace w and ||u||^2 of every step; the history
+    functionals of the series come from the stored trace after the loop.
     Deterministic: identical configs produce bitwise-identical trajectories.
     """
     from . import diagnostics  # local import: diagnostics also drives runs
@@ -282,40 +301,52 @@ def run(config: SimConfig) -> RunResult:
     st = Stepper(config)
     state = st.initial_state()
     n_steps = config.n_steps
+    h = st.grid.h
 
     records = []
-    cols = {k: [] for k in ("t", "w", "F", "l2", "lam_z1sq", "slam_z1sq")}
+    t = np.empty(n_steps + 1)
+    l2 = np.empty(n_steps + 1)
+    # the initial history, then w(t_k) at index n0 - 1 + k
+    n0 = len(state.history.w)
+    trace = np.empty(n0 + n_steps)
+    trace[:n0] = state.history.w
 
-    def sample(state: SimState):
-        buf = state.history
-        w = float(buf.w[-1])
-        tv = weighted_trace(buf, st.trace_weights)
-        cols["t"].append(state.t_now)
-        cols["w"].append(w)
-        cols["F"].append(config.gains.alpha * w + config.gains.beta * tv.memory)
-        # A diverging state may overflow here; the step's finiteness check
-        # turns it into SolverAbort, so inf in the last sample is harmless.
-        with np.errstate(over="ignore"):
-            cols["l2"].append(float(st.grid.h * (state.u ** 2).sum()))
-        cols["lam_z1sq"].append(tv.lam_sq)
-        cols["slam_z1sq"].append(tv.slam_sq)
-
-    h0 = (st.grid.h * (state.u ** 2).sum()
+    h0 = (h * (state.u ** 2).sum()
           + abs(config.gains.beta)
           * weighted_trace(state.history, st.trace_weights).z_plain)
-    sample(state)
+    t[0] = state.t_now
+    # A diverging state overflows ||u||^2 some steps before the state itself
+    # turns non-finite, which the step's finiteness check makes a SolverAbort.
+    with np.errstate(over="ignore"):
+        l2[0] = h * (state.u ** 2).sum()
     if config.record_every > 0:
         records.append(diagnostics.compute_record(state, config, st.op,
                                                   st.trace_weights))
-    for k in range(n_steps):
-        state = st.step(state)
-        sample(state)
+    for k in range(1, n_steps + 1):
+        try:
+            state = st.step(state)
+        except SolverAbort as e:
+            finite = np.flatnonzero(np.isfinite(l2[:k]))
+            if finite.size:
+                j = finite[-1]
+                e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
+            raise
+        t[k] = state.t_now
+        trace[n0 - 1 + k] = state.history.w[-1]
+        with np.errstate(over="ignore"):
+            l2[k] = h * (state.u ** 2).sum()
         if config.record_every > 0 and (
-                state.step_index % config.record_every == 0 or k == n_steps - 1):
+                state.step_index % config.record_every == 0 or k == n_steps):
             records.append(diagnostics.compute_record(state, config, st.op,
                                                       st.trace_weights))
 
-    series = TimeSeries(**{k: np.array(v) for k, v in cols.items()})
+    w = trace[n0 - 1:]
+    memory, lam_sq, slam_sq = trace_series(trace[n0 - 1 - st.trace_weights.K:],
+                                           st.trace_weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = config.gains.alpha * w + config.gains.beta * memory
+    series = TimeSeries(t=t, w=w, F=F, l2=l2, lam_z1sq=lam_sq,
+                        slam_z1sq=slam_sq)
     mms_err = None
     if st.mms_exact is not None:
         exact = st.mms_exact(st.grid.x, state.t_now)

@@ -225,6 +225,14 @@ def test_exit_3_solver_abort(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "solver abort" in capsys.readouterr().err
+    aborted = json.loads((tmp_path / "out" / "report.json").read_text())["aborted"]
+    assert aborted["step"] >= 1
+    assert aborted["t"] == pytest.approx(0.9 * aborted["step"])
+    assert 0.0 <= aborted["last_finite_t"] < aborted["t"]
+    assert math.isfinite(aborted["last_finite_l2"])
+    assert aborted["last_finite_l2"] > 0.0
+    assert f"at step {aborted['step']}" in aborted["message"]
+    assert not (tmp_path / "out" / "series.csv").exists()
 
 
 def test_exit_4_io_failure(tmp_path, reference_config_path, capsys):
@@ -320,6 +328,45 @@ def test_sweep_bad_axis_is_config_error(tmp_path, reference_config_path, capsys)
                "--values", "1,2"])
     assert rc == 1
     assert "axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("numerics.N", "24,32"),
+    ("numerics.record_every", "5,10"),
+    ("numerics.startup_steps", "0,3"),
+    ("seed", "1,2"),
+])
+def test_sweep_integer_axis(tmp_path, axis, values):
+    """An integral value of an integer field reaches the config as an int."""
+    doc = doc_with(numerics={"T_end": 0.5, "startup_steps": 2})
+    for v in map(float, values.split(",")):
+        section, _, leaf = axis.rpartition(".")
+        sub = cli._sweep_axis_set(doc, axis, v)
+        got = (sub[section] if section else sub)[leaf]
+        assert got == v and type(got) is int
+    rc = main(["sweep", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path), "--axis", axis,
+               "--values", values, "--workers", "1"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text())))
+    assert [r[1] for r in rows[1:]] == ["ok", "ok"], rows
+
+
+@pytest.mark.parametrize("values", ["24.7", "32,24.7", "inf", "nan"])
+def test_sweep_non_integral_value_of_integer_axis(tmp_path, capsys, values):
+    doc = doc_with(numerics={"T_end": 0.5})
+    rc = main(["sweep", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out"), "--axis", "numerics.N",
+               "--values", values, "--workers", "1"])
+    assert rc == 1
+    assert "numerics.N" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_float_axis_keeps_fractions():
+    """A float field written as an integer in the config still takes 3.5."""
+    doc = doc_with(model={"L": 3})
+    assert cli._sweep_axis_set(doc, "model.L", 3.5)["model"]["L"] == 3.5
 
 
 def test_worker_count():

@@ -142,9 +142,11 @@ def test_build_operator_allocates_no_dense_matrix():
 
 
 def test_d1_antisymmetric():
-    """The solver's centered difference, applied to the unit vectors."""
+    """The solver's centered difference, applied to the unit vectors
+    (each padded with the +0 and -0 that `_apply_d1` expects)."""
     st = Stepper(reference_sim_config(N=30, T_end=0.0))
-    D1 = np.column_stack([st._apply_d1(e) for e in np.eye(30)])
+    D1 = np.column_stack([st._apply_d1(np.concatenate(([0.0], e, [-0.0])))
+                          for e in np.eye(30)])
     assert (D1 == -D1.T).all()
     assert (D1 == dense_d1(30, st.grid.h)).all()
 

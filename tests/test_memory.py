@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kawalab.memory import (HistoryBuffer, LagQuadrature, TraceWeights,
-                            feedback_integral, memory_integral,
-                            trace_sq_integral, weighted_trace, z_energy)
+                            feedback_integrals, memory_integral,
+                            trace_series, trace_sq_integral, weighted_trace,
+                            z_energy)
 from kawalab.model import MemoryKernel
 
 
@@ -227,17 +228,50 @@ def test_weighted_trace_matches_interpolating_functionals(seed, dt, tau1, width,
 
 
 def test_feedback_integral_is_memory_integral_bitwise():
-    k = MemoryKernel(0.955, 1.853, "exponential", c=1.0, sigma=0.7)
-    rng = np.random.default_rng(5)
-    buf = HistoryBuffer(0.01, 1.853, rng.standard_normal(200), 0.0)
-    quad = LagQuadrature(k)
-    for step in range(400):
-        for t_eval in (buf.t_now, buf.t_now + buf.dt):
-            assert feedback_integral(buf, quad, t_eval) == \
-                memory_integral(buf, k, t_eval)
-        buf.push(rng.standard_normal())
+    """The one- and two-time feedback (BE and CN steps) equals
+    memory_integral at each time, bit for bit, for off-grid lags."""
+    for form in ("constant", "exponential", "tabulated"):
+        k = _kernel(form, 0.955, 1.853)
+        rng = np.random.default_rng(5)
+        buf = HistoryBuffer(0.01, 1.853, rng.standard_normal(200), 0.0)
+        quad = LagQuadrature(k)
+        for step in range(400):
+            # t + dt - t_now takes several values as the clock rounds
+            pair = (buf.t_now, buf.t_now + buf.dt)
+            assert feedback_integrals(buf, quad, pair) == \
+                [memory_integral(buf, k, t) for t in pair], (form, step)
+            assert feedback_integrals(buf, quad, pair[1:]) == \
+                [memory_integral(buf, k, pair[1])], (form, step)
+            buf.push(rng.standard_normal())
+        with pytest.raises(ValueError, match="insufficient history span"):
+            feedback_integrals(buf, quad, (buf.t_now, buf.t_now - 0.5))
+        with pytest.raises(ValueError, match="outside the stored history span"):
+            feedback_integrals(buf, quad, (buf.t_now + 1.0,))
+
+
+@pytest.mark.parametrize("form", ["constant", "exponential", "tabulated"])
+@pytest.mark.parametrize("tau1, tau2", [(0.955, 1.853), (1.0, 2.0), (0.05, 0.07)])
+def test_trace_series_matches_weighted_trace(form, tau1, tau2):
+    """Entry i of each series is `weighted_trace` of the buffer that ends at
+    sample K + i, to rounding: 1e-13 of the column's largest magnitude."""
+    dt = 0.01
+    kernel = _kernel(form, tau1, tau2)
+    weights = TraceWeights(kernel, dt, 1.0)
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal(600) * np.exp(rng.uniform(-3.0, 3.0, 600))
+    n0 = math.ceil(tau2 / dt) + 3
+    buf = HistoryBuffer(dt, tau2, w[:n0], 0.0)
+    rows = [weighted_trace(buf, weights)]
+    for x in w[n0:]:
+        buf.push(x)
+        rows.append(weighted_trace(buf, weights))
+    got = trace_series(w[n0 - 1 - weights.K:], weights)
+    for col, name in zip(got, ("memory", "lam_sq", "slam_sq")):
+        want = np.array([getattr(r, name) for r in rows])
+        assert col.shape == want.shape
+        assert np.abs(col - want).max() <= 1e-13 * np.abs(want).max(), name
     with pytest.raises(ValueError):
-        feedback_integral(buf, quad, buf.t_now - 0.5)
+        trace_series(w[:weights.K], weights)
 
 
 def test_push_reuses_storage():

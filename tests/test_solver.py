@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dgbtrf
 
 from conftest import dense_d1, dense_operator_oracle, reference_sim_config
 from kawalab.discretization import BANDWIDTH
-from kawalab.memory import memory_integral
+from kawalab.memory import memory_integral, weighted_trace
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams
 from kawalab.solver import SimConfig, SolverAbort, Stepper, run
 
@@ -110,8 +110,22 @@ def test_solver_abort_on_blowup():
     cfg = SimConfig(params, gains, kernel, N=64, dt=0.9, T_end=40.0,
                     u0=lambda x: 1e8 * np.sin(np.pi * np.asarray(x) / math.pi),
                     z0=lambda t: 0.0, record_every=0)
-    with pytest.raises(SolverAbort):
+    with pytest.raises(SolverAbort) as info:
         run(cfg)
+    e = info.value
+    # the same steps by hand: the abort carries the last finite ||u||^2
+    st = Stepper(cfg)
+    state = st.initial_state()
+    l2 = []
+    with np.errstate(over="ignore"), pytest.raises(SolverAbort):
+        while True:
+            l2.append((state.t_now, float(st.grid.h * (state.u ** 2).sum())))
+            state = st.step(state)
+    assert state.step_index + 1 == e.step_index
+    assert (e.last_finite_t, e.last_finite_l2) == \
+        [p for p in l2 if math.isfinite(p[1])][-1]
+    # the state doubles its exponent per step: ||u||^2 overflows before u
+    assert e.last_finite_t < e.t - cfg.dt
 
 
 def test_stability_at_dt_equal_h():
@@ -293,3 +307,52 @@ def test_singular_implicit_system_aborts():
     op = replace(st.op, bands=bands)
     with pytest.raises(SolverAbort, match="singular implicit system"):
         Stepper(cfg, op)
+
+
+# ---------------------------------------------------------------------------
+# the post-run series against per-step sampling
+
+
+def sampled_series(cfg):
+    """The series sampled after every step, as the time loop once did: t, w,
+    ||u||^2 and `weighted_trace` of the live buffer."""
+    st = Stepper(cfg)
+    state = st.initial_state()
+    cols = {k: [] for k in ("t", "w", "F", "l2", "lam_z1sq", "slam_z1sq")}
+
+    def sample(state):
+        buf = state.history
+        w = float(buf.w[-1])
+        tv = weighted_trace(buf, st.trace_weights)
+        cols["t"].append(state.t_now)
+        cols["w"].append(w)
+        cols["F"].append(cfg.gains.alpha * w + cfg.gains.beta * tv.memory)
+        cols["l2"].append(float(st.grid.h * (state.u ** 2).sum()))
+        cols["lam_z1sq"].append(tv.lam_sq)
+        cols["slam_z1sq"].append(tv.slam_sq)
+
+    sample(state)
+    for _ in range(cfg.n_steps):
+        state = st.step(state)
+        sample(state)
+    return {k: np.array(v) for k, v in cols.items()}
+
+
+@pytest.mark.parametrize("startup_steps", [0, 2])
+@pytest.mark.parametrize("form", sorted(OFFGRID_KERNELS))
+def test_series_matches_per_step_sampling(form, startup_steps):
+    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, 1.0),
+                    FeedbackGains(0.5, 0.25, 0.01, 0.01), OFFGRID_KERNELS[form],
+                    N=64, dt=0.01, T_end=3.0,
+                    u0=lambda x: 2.0 * np.sin(np.asarray(x)),
+                    z0=lambda t: 0.3 * math.sin(2.0 * t + 0.4),
+                    record_every=0, startup_steps=startup_steps)
+    series = run(cfg).series
+    want = sampled_series(cfg)
+    for name in ("t", "w", "l2"):
+        assert (getattr(series, name) == want[name]).all(), name
+    for name in ("F", "lam_z1sq", "slam_z1sq"):
+        got = getattr(series, name)
+        assert got.shape == want[name].shape
+        assert np.abs(got - want[name]).max() <= \
+            1e-13 * np.abs(want[name]).max(), name
