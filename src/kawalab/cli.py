@@ -31,12 +31,18 @@ class ConfigError(ValueError):
 
 
 # Limits that turn an absurd value into a config error instead of a failed
-# allocation or an endless run; the solver's rhs_mat is N x N (512 MB at 8192).
+# allocation or an endless run.  MAX_N ends the range over which the solver's
+# row-block right-hand side is checked to equal the dense product bit for bit.
 MAX_N = 8192
 MAX_SAMPLES = 10 ** 7   # time steps T_end/dt, and history samples tau2/dt
 # the fields that `build_sim_config` reads as integers
 INT_FIELDS = ("seed", "numerics.N", "numerics.record_every",
               "numerics.startup_steps")
+# the numeric fields that `build_model`/`build_sim_config` read with a
+# default: a sweep may set them where the config leaves them out
+DEFAULTED_FIELDS = ("seed", "gains.delta", "kernel.params.c",
+                    "kernel.params.sigma", "numerics.record_every",
+                    "numerics.startup_steps")
 
 
 # ---------------------------------------------------------------------------
@@ -334,27 +340,29 @@ def cmd_run(doc: dict, out: str) -> int:
 
 
 def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
+    """A copy of `doc` with `axis` set to `value`; a defaulted field is
+    added, with its section, where `doc` leaves it out."""
     parts = axis.split(".")
-    node = doc
+    defaulted = axis in DEFAULTED_FIELDS
+    out = json.loads(json.dumps(doc))  # deep copy
+    node = out
     for key in parts[:-1]:
-        nxt = node.get(key)
-        if not isinstance(nxt, dict):
+        if defaulted and key not in node:
+            node[key] = {}
+        node = node.get(key)
+        if not isinstance(node, dict):
             raise ConfigError(f"axis '{axis}': '{key}' is not a config section")
-        node = nxt
     leaf = parts[-1]
     if leaf not in node:
-        raise ConfigError(f"axis '{axis}': no such field")
-    if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
+        if not defaulted:
+            raise ConfigError(f"axis '{axis}': no such field")
+    elif isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
         raise ConfigError(f"axis '{axis}' must name a scalar field")
     if axis in INT_FIELDS:
         if not float(value).is_integer():
             raise ConfigError(f"axis '{axis}' takes integers, got {value!r}")
         value = int(value)
-    out = json.loads(json.dumps(doc))  # deep copy
-    n = out
-    for key in parts[:-1]:
-        n = n[key]
-    n[parts[-1]] = value
+    node[leaf] = value
     return out
 
 

@@ -102,11 +102,15 @@ class SpatialOperator:
     def dense(self) -> np.ndarray:
         """A as an N x N array."""
         N = self.bands.shape[1]
-        A = np.zeros((N, N))
+        return self.block(0, N, 0, N)
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """A[r0:r1, c0:c1] as a dense array, the same entries as `dense()`."""
+        B = np.zeros((r1 - r0, c1 - c0))
         for d in range(-BANDWIDTH, BANDWIDTH + 1):      # d = i - j
-            j = np.arange(max(0, -d), min(N, N - d))
-            A[j + d, j] = self.bands[BANDWIDTH + d, j]
-        return A
+            j = np.arange(max(c0, r0 - d), min(c1, r1 - d))
+            B[j + d - r0, j - c0] = self.bands[BANDWIDTH + d, j]
+        return B
 
     def trace_uxx0(self, u: np.ndarray) -> float:
         return float(self.trace0_vec @ u)

@@ -363,6 +363,65 @@ def test_sweep_non_integral_value_of_integer_axis(tmp_path, capsys, values):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("gains.delta", "0.5,2"),
+    ("kernel.params.c", "0.5,2"),
+    ("kernel.params.sigma", "0,0.5"),
+    ("numerics.record_every", "5,10"),
+    ("numerics.startup_steps", "0,3"),
+    ("seed", "1,2"),
+])
+def test_sweep_defaulted_field_left_out_of_config(tmp_path, axis, values):
+    """A field that the config leaves at its default can be swept; the value
+    reaches the run's config."""
+    doc = doc_with(numerics={"T_end": 0.5})
+    del doc["seed"], doc["gains"]["delta"], doc["kernel"]["params"]
+    del doc["numerics"]["record_every"]
+    assert "startup_steps" not in doc["numerics"]
+    assert cli._sweep_axis_set(doc, "numerics.N", 64)["numerics"]["N"] == 64
+    for v in map(float, values.split(",")):
+        sub = cli._sweep_axis_set(doc, axis, v)
+        params, gains, kernel = build_model(sub)
+        config = build_sim_config(sub)
+        got = {"gains.delta": gains.delta, "kernel.params.c": kernel.c,
+               "kernel.params.sigma": kernel.sigma,
+               "numerics.record_every": config.record_every,
+               "numerics.startup_steps": config.startup_steps,
+               "seed": sub["seed"] if axis == "seed" else None}[axis]
+        assert got == v
+    rc = main(["sweep", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path), "--axis", axis,
+               "--values", values, "--workers", "1"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text())))
+    assert [r[1] for r in rows[1:]] == ["ok", "ok"], rows
+
+
+@pytest.mark.parametrize("axis", ["gains.zeta", "kernel.params.zeta",
+                                  "numerics.startup", "kernel.params.c.x"])
+def test_sweep_unknown_field_is_config_error(tmp_path, reference_config_path,
+                                             capsys, axis):
+    rc = main(["sweep", "--config", reference_config_path,
+               "--out", str(tmp_path / "out"), "--axis", axis,
+               "--values", "1,2"])
+    assert rc == 1
+    assert f"axis '{axis}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_startup_steps_on_reference_config(tmp_path):
+    """configs/reference.json leaves numerics.startup_steps at its default."""
+    config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                          "reference.json")
+    assert "startup_steps" not in load_config(config)["numerics"]
+    rc = main(["sweep", "--config", config, "--out", str(tmp_path),
+               "--axis", "numerics.startup_steps", "--values", "0,2",
+               "--workers", "1"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text())))
+    assert [r[1] for r in rows[1:]] == ["ok", "ok"], rows
+
+
 def test_sweep_float_axis_keeps_fractions():
     """A float field written as an integer in the config still takes 3.5."""
     doc = doc_with(model={"L": 3})

@@ -1,6 +1,11 @@
 """Time integrator: fixed points, decay, convergence, determinism, aborts."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -263,16 +268,28 @@ def test_implicit_solve_matches_solve_banded_bitwise(N):
             assert (st._solve_implicit(rhs.copy(), be=be) == ref.solve(rhs, be)).all()
 
 
-@pytest.mark.parametrize("N", [12, 128, 2048])
+@pytest.mark.parametrize("N", [12, 128, 2048, 2051])
 def test_set_up_matches_dense_oracle_bitwise(N):
-    """rhs_mat and the LU factors and pivots of both implicit systems equal
-    those built from the dense-row assembly of A, signed zeros included."""
+    """The right-hand side blocks are sub-matrices of I - dt/2 A, and the LU
+    factors and pivots of both implicit systems equal those built from the
+    dense-row assembly of A, signed zeros included.  The blocks partition
+    the rows, and each window holds every nonzero of its rows."""
     cfg = reference_sim_config(N=N, T_end=0.0)
     st = Stepper(cfg)
     A, _ = dense_operator_oracle(cfg.params, st.grid)
     dt = cfg.dt
     rhs_mat = np.eye(N) - 0.5 * dt * A
-    assert (st.rhs_mat.view(np.int64) == rhs_mat.view(np.int64)).all()
+    r_end = 0
+    for r0, r1, c0, c1, B in st.rhs_blocks:
+        assert r0 == r_end and r1 - r0 >= 4
+        r_end = r1
+        sub = rhs_mat[r0:r1, c0:c1]
+        assert B.shape == sub.shape
+        assert (B.view(np.int64) == sub.view(np.int64)).all()
+        rest = rhs_mat[r0:r1].copy()
+        rest[:, c0:c1] = 0.0
+        assert not rest.any()
+    assert r_end == N
     for system, theta in ((st.cn, 0.5), (st.be, 1.0)):
         ab = np.zeros((3 * BANDWIDTH + 1, N))
         for k in range(-BANDWIDTH, BANDWIDTH + 1):
@@ -287,6 +304,69 @@ def test_set_up_matches_dense_oracle_bitwise(N):
         assert info == 0
         assert (system.lu.view(np.int64) == lu.view(np.int64)).all()
         assert (system.piv == piv).all()
+
+
+# Run in a fresh interpreter on one BLAS thread, as the benchmark runs: with
+# more threads OpenBLAS splits the rows of the dense product among them, which
+# changes the bits of the product itself.
+_BLOCK_RHS_SCRIPT = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from conftest import reference_sim_config
+from kawalab.solver import Stepper
+
+rng = np.random.default_rng(2024)
+bad = []
+Ns = list(range(12, 301)) + [2030, 2048, 2049, 2053, 2055, 4095, 4097, 4101]
+for N in Ns:
+    for dt in (0.01, 0.0037):
+        st = Stepper(reference_sim_config(N=N, dt=dt, T_end=0.0))
+        M = st.op.dense()       # I - dt/2 A in place, as a dense array
+        M *= 0.5 * dt
+        np.subtract(0.0, M, out=M)
+        M.flat[::N + 1] += 1.0
+        # magnitudes within 1e+-2 make the order of a row's sum show in its
+        # rounding; 1e+-212 probe overflow-free extremes
+        for scale in (2, 212):
+            u = rng.standard_normal(N) * 10.0 ** rng.uniform(-scale, scale, N)
+            u[rng.random(N) < 0.05] = 0.0
+            u[rng.random(N) < 0.02] = -0.0
+            got = st._cn_rhs(u).view(np.int64)
+            n = int((got != (M @ u).view(np.int64)).sum())
+            if n:
+                bad.append([N, dt, n])
+        del M
+print(json.dumps({"checked": len(Ns), "mismatches": bad}))
+"""
+
+
+def test_block_rhs_matches_dense_product_bitwise():
+    """The row-block right-hand side equals the dense (I - dt/2 A) u bit for
+    bit (int64 views) for every N from 12 to 300 and about the multiples of
+    the BLAS kernel's 2048-column block, on u of magnitudes up to 1e+-212
+    with +0 and -0 entries."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(here, "..", "src"))
+    out = subprocess.run([sys.executable, "-c", _BLOCK_RHS_SCRIPT, here],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"checked": 297, "mismatches": []}
+
+
+def test_stepper_allocates_no_dense_matrix():
+    N = 4096
+    cfg = reference_sim_config(N=N, T_end=0.0)
+    tracemalloc.start()
+    try:
+        Stepper(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense I - dt/2 A alone was N * N * 8 = 134 MB; 5.3 MB measured
+    assert peak < N * N * 8 / 16
 
 
 def test_nonlinear_matches_dense_d1_bitwise():
