@@ -407,13 +407,17 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     if not axis or not values:
         raise ConfigError("sweep requires --axis and --values")
     for v in values:    # validate the axis and every value up front
+        if not math.isfinite(v):
+            raise ConfigError(f"axis '{axis}': --values must be finite numbers,"
+                              f" got {v!r}")
         _sweep_axis_set(doc, axis, v)
     jobs = [(i, doc, axis, v) for i, v in enumerate(values)]
     if workers > 1 and len(jobs) > 1:
         # local import: the pool machinery is loaded only when a pool runs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all of its processes at the first submit
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]

@@ -7,15 +7,16 @@ samples at the solver step size; the lags tau1, tau2 need not be multiples
 of dt (endpoint cells use linear interpolation).  Gain factors beta, |beta|
 are applied by callers.
 
-`memory_integral`, `trace_sq_integral` and `z_energy` interpolate the history
-at freshly built lag nodes on every call; they are the general path and the
-test oracle.  The solver uses set-up-once forms of them:
-`feedback_integrals` (the memory feedback at the one or two times of a step,
-bit-identical to `memory_integral`, because the trajectory amplifies a single
-rounding change), `weighted_trace` (the observation functionals at
-t_eval = t_now, as fixed weights on the stored samples) and `trace_series`
-(those weights run along a whole stored trace after a run, which gives the
-functionals at every step).
+The general forms of these functionals, `memory_integral`,
+`trace_sq_integral` and `z_energy`, interpolate the history at freshly built
+lag nodes on every call; they live in `tests/conftest.py` as the test
+oracle.  The solver uses set-up-once forms of them: `feedback_integrals`
+(the memory feedback at the one or two times of a step, bit-identical to
+`memory_integral`, because the trajectory amplifies a single rounding
+change), `weighted_trace` (the observation functionals at t_eval = t_now, as
+fixed weights on the stored samples) and `trace_series` (those weights run
+along a whole stored trace after a run, which gives the functionals at every
+step).
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ class HistoryBuffer:
 
     The samples live in a preallocated array of `maxlen` slots, newest last;
     `push` shifts them in place.  Single-writer: the time loop pushes once
-    per completed step.  Snapshots (`copy`) are handed to any consumer that
-    must keep an earlier history.
+    per completed step.
     """
 
     def __init__(self, dt: float, tau2: float, samples: np.ndarray, t_now: float = 0.0):
@@ -70,9 +70,6 @@ class HistoryBuffer:
     def times(self) -> np.ndarray:
         return self.t_now - self._lags[self.maxlen - self._n:]
 
-    def copy(self) -> "HistoryBuffer":
-        return HistoryBuffer(self.dt, self.tau2, self.w, self.t_now)
-
     def push(self, w_new: float) -> None:
         d = self._data
         if self._n < self.maxlen:
@@ -81,17 +78,6 @@ class HistoryBuffer:
         d[lo:-1] = d[lo + 1:]
         d[-1] = w_new
         self.t_now += self.dt
-
-    def w_at(self, t):
-        """Linear interpolation of the stored history at time(s) t."""
-        t = np.asarray(t, dtype=float)
-        t0 = self.t_now - self.span
-        eps = 1e-9 * self.dt
-        if np.any(t < t0 - eps) or np.any(t > self.t_now + eps):
-            raise ValueError("requested time outside the stored history span")
-        out = np.interp(t, self.times(), self.w)
-        return out if out.ndim else float(out)
-
 
 def _lag_grid(dt: float, lo: float, hi: float, off: float):
     """Lag nodes on [lo, hi] aligned with the sample times, endpoints included,
@@ -105,23 +91,8 @@ def _lag_grid(dt: float, lo: float, hi: float, off: float):
     return np.concatenate(([lo], nodes[keep], [hi])), ks[keep]
 
 
-def _lag_nodes(buf: HistoryBuffer, lo: float, hi: float, t_eval: float) -> np.ndarray:
-    return _lag_grid(buf.dt, lo, hi, t_eval - buf.t_now)[0]
-
-
-def memory_integral(buf: HistoryBuffer, kernel: MemoryKernel,
-                    t_eval: float | None = None) -> float:
-    """int_{tau1}^{tau2} lam(sigma) w(t - sigma) d sigma (no beta factor)."""
-    t = buf.t_now if t_eval is None else t_eval
-    if t - kernel.tau2 < buf.t_now - buf.span - 1e-9 * buf.dt:
-        raise ValueError("insufficient history span for the memory integral")
-    s = _lag_nodes(buf, kernel.tau1, kernel.tau2, t)
-    vals = np.asarray(kernel(s)) * buf.w_at(t - s)
-    return float(np.trapezoid(vals, s))
-
-
 class LagQuadrature:
-    """The set-up of `memory_integral`, cached per tuple of offsets
+    """The set-up of the oracle `memory_integral`, cached per tuple of offsets
     t_eval - t_now.
 
     The lag nodes depend on the time only through that offset, which takes a
@@ -187,56 +158,6 @@ def feedback_integrals(buf: HistoryBuffer, quad: LagQuadrature,
     np.multiply(nodes.d, terms, out=terms)
     np.divide(terms, 2.0, out=terms)
     return [float(np.add.reduce(ts)) for ts in nodes.term_segs]
-
-
-def _cumulative_w2(buf: HistoryBuffer, kernel: MemoryKernel, weight, t: float):
-    """sigma grid on [0, tau2] and G(s) = int_0^s weight(sig) w(t-sig)^2 dsig."""
-    s = _lag_nodes(buf, 0.0, kernel.tau2, t)
-    vals = weight(s) * buf.w_at(t - s) ** 2
-    G = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(s))))
-    return s, G
-
-
-def z_energy(buf: HistoryBuffer, kernel: MemoryKernel, weight: str = "plain",
-             delta: float = 0.0, t_eval: float | None = None) -> float:
-    """Double integral int lam(s) int_0^s W(sigma) w(t-sigma)^2 dsigma ds.
-
-    W = 1 for weight='plain' (the memory part of the energy), or
-    W = exp(-delta*sigma) for weight='exp' (the E2 functional).
-    The |beta| factor is applied by the caller.
-    """
-    t = buf.t_now if t_eval is None else t_eval
-    if t - kernel.tau2 < buf.t_now - buf.span - 1e-9 * buf.dt:
-        raise ValueError("insufficient history span for the memory energy")
-    if weight == "plain":
-        W = lambda s: np.ones_like(s)
-    elif weight == "exp":
-        W = lambda s: np.exp(-delta * s)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-    sig, G = _cumulative_w2(buf, kernel, W, t)
-    s = _lag_nodes(buf, kernel.tau1, kernel.tau2, t)
-    vals = np.asarray(kernel(s)) * np.interp(s, sig, G)
-    return float(np.trapezoid(vals, s))
-
-
-def trace_sq_integral(buf: HistoryBuffer, kernel: MemoryKernel, weight: str = "one",
-                      delta: float = 0.0, t_eval: float | None = None) -> float:
-    """int lam(s) W(s) w(t-s)^2 ds with W in {1, s, exp(-delta*s)}."""
-    t = buf.t_now if t_eval is None else t_eval
-    if t - kernel.tau2 < buf.t_now - buf.span - 1e-9 * buf.dt:
-        raise ValueError("insufficient history span")
-    s = _lag_nodes(buf, kernel.tau1, kernel.tau2, t)
-    if weight == "one":
-        W = np.ones_like(s)
-    elif weight == "s":
-        W = s
-    elif weight == "exp":
-        W = np.exp(-delta * s)
-    else:
-        raise ValueError(f"unknown weight {weight!r}")
-    vals = np.asarray(kernel(s)) * W * buf.w_at(t - s) ** 2
-    return float(np.trapezoid(vals, s))
 
 
 # ---------------------------------------------------------------------------

@@ -201,13 +201,6 @@ def assemble_P_star(gains: FeedbackGains, kernel: MemoryKernel) -> np.ndarray:
     ])
 
 
-def det_P_closed_form(gains: FeedbackGains, kernel: MemoryKernel) -> float:
-    """det P = |b| (int lam)^-1 { [1 - |b| int lam]^2 - a^2 }."""
-    lam = kernel.lambda_integral
-    b = abs(gains.beta)
-    return (b / lam) * ((1.0 - b * lam) ** 2 - gains.alpha ** 2)
-
-
 def assemble_T(gains: FeedbackGains, kernel: MemoryKernel,
                params: PhysicalParams) -> np.ndarray:
     """T(mu1, mu2) = P + mu1*L*[[a^2,ab],[ab,b^2]] + mu2*[[|b| int lam, 0],[0,0]]."""

@@ -8,11 +8,13 @@ coupling g_F * trace0), is advanced with Crank-Nicolson; the memory term is
 known from history and enters explicitly at the midpoint, as does the
 nonlinearity via second-order Adams-Bashforth extrapolation (explicit Euler
 bootstrap on the first step).  The implicit solve is a banded system,
-factored once with LAPACK gbtrf, plus a rank-one Sherman-Morrison
-correction.  Every state-advancing operation keeps the arithmetic of the
-plain formulation bit for bit: the `I - dt/2 A` matvec (the dense N x N
-product, computed as BLAS products on narrow row blocks, `_rhs_layout`), the
-memory feedback of `memory.memory_integral` (evaluated by
+factored once with LAPACK dgbtrf and solved with dgbtrs, plus a rank-one
+Sherman-Morrison correction; `_lapack` loads those two routines from scipy's
+compiled wrappers without importing scipy.linalg.  Every state-advancing
+operation keeps the arithmetic of the plain formulation bit for bit: the
+`I - dt/2 A` matvec (the dense N x N product, computed as BLAS products on
+narrow row blocks, `_rhs_layout`), the memory feedback of the oracle
+`memory_integral` in `tests/conftest.py` (evaluated by
 `memory.feedback_integrals`), the D1 products and the band solve.  A single
 rounding change early in a run moves the final energy by up to ~1e-5
 relative.  The time loop advances the state and stores t, the trace and
@@ -27,17 +29,50 @@ u < 0 this fixes the u^p convention to |u|^p, an odd-antiderivative form).
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .discretization import BANDWIDTH, Grid, SpatialOperator, build_operator
 from .memory import (HistoryBuffer, LagQuadrature, TraceWeights,
                      feedback_integrals, trace_series, weighted_trace)
 from .model import FeedbackGains, MemoryKernel, PhysicalParams
+
+
+def _lapack():
+    """scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`, loaded
+    without importing the scipy.linalg package (~85 modules, ~0.2 s and
+    ~25 MB per process) for the two band routines the solver calls.
+
+    The module is registered under its own name, so a later
+    `import scipy.linalg` reuses it: `scipy.linalg.lapack.dgbtrf` is then
+    this module's `dgbtrf`.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")   # finds, does not import
+    for root in scipy.submodule_search_locations if scipy else ():
+        finder = FileFinder(os.path.join(root, "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    from scipy.linalg import lapack   # an unusual scipy layout
+    return lapack
+
+
+_flapack = _lapack()
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 
 class SolverAbort(RuntimeError):

@@ -1,5 +1,7 @@
 """Shared fixtures: the reference configuration in object and JSON form, and
-the dense operator assembly that the band assembly must reproduce."""
+the oracles that the package's fast forms must reproduce: the dense operator
+assembly, the interpolating history functionals and the closed form of
+det P."""
 
 import json
 import math
@@ -9,6 +11,7 @@ import pytest
 
 from kawalab.discretization import (_GL1, _GL2, _D1, _D3, _D5, _GR1_F, _GR1_W,
                                     _GR2_F, _GR2_W)
+from kawalab.memory import HistoryBuffer, _lag_grid
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, r_max
 from kawalab.solver import SimConfig
 
@@ -117,3 +120,96 @@ def dense_d1(N, h):
         if j < N - 1:
             D1[j, j + 1] = 0.5 / h
     return D1
+
+
+def det_P_closed_form(gains: FeedbackGains, kernel: MemoryKernel) -> float:
+    """det P = |b| (int lam)^-1 { [1 - |b| int lam]^2 - a^2 }."""
+    lam = kernel.lambda_integral
+    b = abs(gains.beta)
+    return (b / lam) * ((1.0 - b * lam) ** 2 - gains.alpha ** 2)
+
+
+# ---------------------------------------------------------------------------
+# interpolating history functionals: the general forms of
+# `memory.feedback_integrals`, `memory.weighted_trace` and `memory.trace_series`
+
+
+def copy_history(buf: HistoryBuffer) -> HistoryBuffer:
+    """A snapshot of `buf` that later pushes leave unchanged."""
+    return HistoryBuffer(buf.dt, buf.tau2, buf.w, buf.t_now)
+
+
+def w_at(buf: HistoryBuffer, t):
+    """Linear interpolation of the stored history at time(s) t."""
+    t = np.asarray(t, dtype=float)
+    t0 = buf.t_now - buf.span
+    eps = 1e-9 * buf.dt
+    if np.any(t < t0 - eps) or np.any(t > buf.t_now + eps):
+        raise ValueError("requested time outside the stored history span")
+    out = np.interp(t, buf.times(), buf.w)
+    return out if out.ndim else float(out)
+
+
+def _lag_nodes(buf: HistoryBuffer, lo: float, hi: float, t_eval: float) -> np.ndarray:
+    return _lag_grid(buf.dt, lo, hi, t_eval - buf.t_now)[0]
+
+
+def memory_integral(buf: HistoryBuffer, kernel: MemoryKernel,
+                    t_eval: float | None = None) -> float:
+    """int_{tau1}^{tau2} lam(sigma) w(t - sigma) d sigma (no beta factor)."""
+    t = buf.t_now if t_eval is None else t_eval
+    if t - kernel.tau2 < buf.t_now - buf.span - 1e-9 * buf.dt:
+        raise ValueError("insufficient history span for the memory integral")
+    s = _lag_nodes(buf, kernel.tau1, kernel.tau2, t)
+    vals = np.asarray(kernel(s)) * w_at(buf, t - s)
+    return float(np.trapezoid(vals, s))
+
+
+def _cumulative_w2(buf: HistoryBuffer, kernel: MemoryKernel, weight, t: float):
+    """sigma grid on [0, tau2] and G(s) = int_0^s weight(sig) w(t-sig)^2 dsig."""
+    s = _lag_nodes(buf, 0.0, kernel.tau2, t)
+    vals = weight(s) * w_at(buf, t - s) ** 2
+    G = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(s))))
+    return s, G
+
+
+def z_energy(buf: HistoryBuffer, kernel: MemoryKernel, weight: str = "plain",
+             delta: float = 0.0, t_eval: float | None = None) -> float:
+    """Double integral int lam(s) int_0^s W(sigma) w(t-sigma)^2 dsigma ds.
+
+    W = 1 for weight='plain' (the memory part of the energy), or
+    W = exp(-delta*sigma) for weight='exp' (the E2 functional).
+    The |beta| factor is applied by the caller.
+    """
+    t = buf.t_now if t_eval is None else t_eval
+    if t - kernel.tau2 < buf.t_now - buf.span - 1e-9 * buf.dt:
+        raise ValueError("insufficient history span for the memory energy")
+    if weight == "plain":
+        W = lambda s: np.ones_like(s)
+    elif weight == "exp":
+        W = lambda s: np.exp(-delta * s)
+    else:
+        raise ValueError(f"unknown weight {weight!r}")
+    sig, G = _cumulative_w2(buf, kernel, W, t)
+    s = _lag_nodes(buf, kernel.tau1, kernel.tau2, t)
+    vals = np.asarray(kernel(s)) * np.interp(s, sig, G)
+    return float(np.trapezoid(vals, s))
+
+
+def trace_sq_integral(buf: HistoryBuffer, kernel: MemoryKernel, weight: str = "one",
+                      delta: float = 0.0, t_eval: float | None = None) -> float:
+    """int lam(s) W(s) w(t-s)^2 ds with W in {1, s, exp(-delta*s)}."""
+    t = buf.t_now if t_eval is None else t_eval
+    if t - kernel.tau2 < buf.t_now - buf.span - 1e-9 * buf.dt:
+        raise ValueError("insufficient history span")
+    s = _lag_nodes(buf, kernel.tau1, kernel.tau2, t)
+    if weight == "one":
+        W = np.ones_like(s)
+    elif weight == "s":
+        W = s
+    elif weight == "exp":
+        W = np.exp(-delta * s)
+    else:
+        raise ValueError(f"unknown weight {weight!r}")
+    vals = np.asarray(kernel(s)) * W * w_at(buf, t - s) ** 2
+    return float(np.trapezoid(vals, s))

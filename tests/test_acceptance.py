@@ -13,11 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_DOC, reference_sim_config
+from conftest import REFERENCE_DOC, det_P_closed_form, reference_sim_config
 from kawalab import cli, diagnostics
 from kawalab.discretization import _D5, Grid, build_operator
 from kawalab.model import (FeedbackGains, MemoryKernel, PhysicalParams,
-                           assemble_P, check_gain_condition, det_P_closed_form,
+                           assemble_P, check_gain_condition,
                            is_negative_definite, mu_guaranteed, r_max)
 from kawalab.rng import Lcg64
 from kawalab.solver import SimConfig, run

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import REFERENCE_DOC, reference_sim_config
-from kawalab import cli
+from kawalab import cli, solver
 from kawalab.cli import (ConfigError, build_model, build_sim_config,
                          load_config, main)
 from kawalab.model import MemoryKernel
@@ -459,6 +459,58 @@ def test_sweep_csv_quotes_failure_messages(tmp_path, reference_config_path,
     assert text.endswith("\n0.2,ok,true,,0.25,0.5,\n")
 
 
+@pytest.mark.parametrize("workers, values, pool_size", [
+    ("64", "0.3,0.4", 2), ("3", "0.1,0.2,0.3,0.4,0.5", 3)])
+def test_sweep_pool_no_larger_than_job_count(tmp_path, reference_config_path,
+                                             monkeypatch, workers, values,
+                                             pool_size):
+    """The pool starts all of its processes at the first submit, so it gets
+    at most one per job.  A stand-in pool records its size and runs the
+    jobs inline; nothing is forked."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def fake_worker(args):
+        idx, _, _, value = args
+        return {"index": idx, "value": value, "status": "ok", "certified": "",
+                "failures": "", "rate": "", "r2": "", "mms_error": ""}
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool,
+                        raising=False)
+    monkeypatch.setattr(cli, "_sweep_worker", fake_worker)
+    rc = main(["sweep", "--config", reference_config_path, "--out",
+               str(tmp_path), "--axis", "gains.alpha", "--values", values,
+               "--workers", workers])
+    assert rc == 0
+    assert sizes == [pool_size]
+
+
+@pytest.mark.parametrize("values", ["nan,inf", "0.3,-inf", "nan"])
+def test_sweep_non_finite_values_are_config_error(tmp_path,
+                                                  reference_config_path,
+                                                  capsys, values):
+    rc = main(["sweep", "--config", reference_config_path, "--out",
+               str(tmp_path / "out"), "--axis", "gains.alpha",
+               "--values", values, "--workers", "1"])
+    assert rc == 1
+    assert "--values" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: one field of the reference config replaced by a bad value
 
@@ -547,8 +599,8 @@ def test_verify_nonlinear_reports_apriori_skipped(tmp_path):
 # start-up: a command imports only the modules it runs
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFERRED = ("scipy.integrate", "scipy.special", "scipy.optimize", "sympy",
-            "concurrent.futures.process")
+DEFERRED = ("scipy.linalg", "scipy.integrate", "scipy.special",
+            "scipy.optimize", "sympy", "concurrent.futures.process")
 
 
 def fresh_python(code: str) -> str:
@@ -560,8 +612,9 @@ def fresh_python(code: str) -> str:
 
 def test_run_set_up_imports_no_deferred_module():
     """Importing the CLI and setting up the reference run loads neither the
+    scipy.linalg package (the solver loads only its LAPACK wrappers), the
     quadrature stack (tabulated kernels), sympy (MMS) nor the process pool
-    (sweeps): they cost ~0.3 s and ~24 MB in every process."""
+    (sweeps): they cost ~0.5 s and ~50 MB in every process."""
     config = os.path.join(REPO, "configs", "reference.json")
     loaded = fresh_python(f"""
 import sys
@@ -585,3 +638,61 @@ print(before, "scipy.integrate" in sys.modules, repr(k.moment("s_exp", 1.0)))
     assert out[:2] == ["False", "True"]
     constant = MemoryKernel(tau1=1.0, tau2=2.0).moment("s_exp", 1.0)
     assert float(out[2]) == pytest.approx(constant, rel=1e-9)
+
+
+@pytest.mark.parametrize("first", ["kawalab.solver", "scipy.linalg"])
+def test_band_routines_are_scipy_linalg_lapack_functions(first):
+    """The solver's dgbtrf/dgbtrs are the very objects that
+    scipy.linalg.lapack exports, and both use one wrapper module, whichever
+    of the two is imported first."""
+    out = fresh_python(f"""
+import importlib
+importlib.import_module({first!r})
+from kawalab import solver
+from scipy.linalg import lapack
+print(lapack.dgbtrf is solver.dgbtrf, lapack.dgbtrs is solver.dgbtrs,
+      lapack._flapack is solver._flapack)
+""")
+    assert out.split() == ["True", "True", "True"]
+
+
+def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch):
+    """Where scipy's layout hides the wrapper module, the loader imports it
+    through scipy.linalg and returns the same functions."""
+
+    class NoFinder:
+        def __init__(self, path, *loaders):
+            pass
+
+        def find_spec(self, name):
+            return None
+
+    monkeypatch.setattr(solver, "FileFinder", NoFinder)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    lapack = solver._lapack()
+    assert lapack.__name__ == "scipy.linalg.lapack"
+    assert lapack.dgbtrf is solver.dgbtrf
+    assert lapack.dgbtrs is solver.dgbtrs
+
+
+def test_tabulated_run_identical_after_scipy_linalg_loads(tmp_path):
+    """A tabulated kernel's moments load scipy.integrate, which imports
+    scipy.linalg on top of the module the solver registered; series.csv
+    equals that of a process that imported scipy.linalg before kawalab."""
+    doc = doc_with(numerics={"N": 48, "T_end": 2.0})
+    doc["kernel"] = {"form": "tabulated", "tau1": 1.0, "tau2": 2.0,
+                     "params": {"samples": [[0.5, 1.0], [1.5, 1.4], [2.5, 0.8]]}}
+    config = write_doc(tmp_path, doc)
+    series = {}
+    for first in ("", "import scipy.linalg"):
+        out = str(tmp_path / ("linalg_first" if first else "kawalab_first"))
+        printed = fresh_python(f"""
+import sys
+{first}
+from kawalab.cli import main
+rc = main(["run", "--config", {config!r}, "--out", {out!r}])
+print(rc, "scipy.linalg" in sys.modules)
+""")
+        assert printed.split()[-2:] == ["0", "True"]
+        series[first] = (tmp_path / out / "series.csv").read_bytes()
+    assert series[""] == series["import scipy.linalg"]

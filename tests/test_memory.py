@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (copy_history, memory_integral, trace_sq_integral, w_at,
+                      z_energy)
 from kawalab.memory import (HistoryBuffer, LagQuadrature, TraceWeights,
-                            feedback_integrals, memory_integral,
-                            trace_series, trace_sq_integral, weighted_trace,
-                            z_energy)
+                            feedback_integrals, trace_series, weighted_trace)
 from kawalab.model import MemoryKernel
 
 
@@ -29,8 +29,8 @@ def test_from_initial_spans_tau2():
     buf = HistoryBuffer.from_initial(lambda t: t, 0.01, 2.0)
     assert buf.span >= 2.0
     assert buf.t_now == 0.0
-    assert buf.w_at(0.0) == 0.0
-    assert buf.w_at(-1.5) == pytest.approx(-1.5, abs=1e-12)
+    assert w_at(buf, 0.0) == 0.0
+    assert w_at(buf, -1.5) == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_push_fifo_and_time_advance():
@@ -38,8 +38,8 @@ def test_push_fifo_and_time_advance():
     buf.push(1.0)
     buf.push(2.0)
     assert buf.t_now == pytest.approx(0.2)
-    assert buf.w_at(buf.t_now) == 2.0
-    assert buf.w_at(buf.t_now - 0.1) == 1.0
+    assert w_at(buf, buf.t_now) == 2.0
+    assert w_at(buf, buf.t_now - 0.1) == 1.0
 
 
 def test_eviction_bounds_length():
@@ -66,18 +66,18 @@ def test_eviction_does_not_change_integrals():
 
 def test_copy_is_independent():
     buf = const_buffer(1.0)
-    snap = buf.copy()
+    snap = copy_history(buf)
     buf.push(99.0)
     assert snap.t_now == 0.0
-    assert snap.w_at(0.0) == 1.0
+    assert w_at(snap, 0.0) == 1.0
 
 
 def test_w_at_outside_span_raises():
     buf = const_buffer(1.0, dt=0.1, tau2=1.0)
     with pytest.raises(ValueError):
-        buf.w_at(buf.t_now - buf.span - 1.0)
+        w_at(buf, buf.t_now - buf.span - 1.0)
     with pytest.raises(ValueError):
-        buf.w_at(buf.t_now + 1.0)
+        w_at(buf, buf.t_now + 1.0)
 
 
 def test_insufficient_span_raises():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import det_P_closed_form
 from kawalab import model
 from kawalab.model import (ConditionError, FeedbackGains, MemoryKernel,
                            PhysicalParams, assemble_P, assemble_P_star,
                            assemble_T, build_certificate, check_gain_condition,
-                           critical_length, det_P_closed_form,
-                           is_negative_definite, mu_guaranteed, r_max)
+                           critical_length, is_negative_definite,
+                           mu_guaranteed, r_max)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf
 
-from conftest import dense_d1, dense_operator_oracle, reference_sim_config
+from conftest import (copy_history, dense_d1, dense_operator_oracle,
+                      memory_integral, reference_sim_config)
 from kawalab.discretization import BANDWIDTH
-from kawalab.memory import memory_integral, weighted_trace
+from kawalab.memory import weighted_trace
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams
 from kawalab.solver import SimConfig, SolverAbort, Stepper, run
 
@@ -247,7 +248,7 @@ def test_fast_step_matches_plain_formulation_bitwise(form, linear_only):
     st = Stepper(cfg)
     ref = ReferenceStepper(st)
     state = st.initial_state()
-    u, buf, prev_nl = state.u, state.history.copy(), None
+    u, buf, prev_nl = state.u, copy_history(state.history), None
     for k in range(300):
         state = st.step(state)
         u, prev_nl = ref.step(u, buf, k, prev_nl)
