@@ -398,9 +398,11 @@ def _sweep_worker(args) -> dict:
 
 
 def _worker_count(cli_value) -> int:
-    if cli_value is not None:
-        return max(1, cli_value)
-    return os.cpu_count() or 1
+    if cli_value is None:
+        return os.cpu_count() or 1
+    if cli_value < 1:
+        raise ConfigError(f"--workers must be a positive integer, got {cli_value}")
+    return cli_value
 
 
 def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:

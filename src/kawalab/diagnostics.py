@@ -1,7 +1,11 @@
 """Energy functionals, decay fits, inequality checks, and the spectral test.
 
-Everything operates on trajectory snapshots or drives fresh runs of the
-linear system; nothing mutates solver state.
+The energy records of a run are built after its time loop, in one
+vectorised pass (`build_records`): the history functionals come from the
+run's series (`memory.trace_series`), and the loop keeps only the values
+that need the state at a record step (`state_scalars`).  Everything else
+operates on finished runs or drives fresh runs of the linear system;
+nothing mutates solver state.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import model
 from .discretization import Grid, build_operator, mass_and_weighted_mass
-from .memory import TraceWeights, weighted_trace
+from .memory import TraceValues
 from .model import PhysicalParams
 from .rng import Lcg64
 
@@ -40,42 +44,51 @@ class DiagnosticsRecord:
         return ",".join(repr(v) for v in vals)
 
 
-def _trace_weights(config) -> TraceWeights:
-    return TraceWeights(config.kernel, config.dt, config.gains.delta)
-
-
-def compute_record(state, config, op, weights: TraceWeights | None = None
-                   ) -> DiagnosticsRecord:
-    """Energy record of one state; `weights` (built from config when absent)
-    are the history quadrature weights of config's kernel, dt and delta."""
-    gains, kernel = config.gains, config.kernel
+def state_scalars(u: np.ndarray, op) -> tuple:
+    """(E1, w0, ||u_xx||^2) of one state: the record values that need u."""
     grid = op.grid
-    l2, E1 = mass_and_weighted_mass(state.u, grid)
-    if weights is None:
-        weights = _trace_weights(config)
-    tv = weighted_trace(state.history, weights)
-    absb = abs(gains.beta)
-    E = l2 + absb * tv.z_plain
-    E2 = absb * tv.z_exp
-    xi = E + gains.mu1 * E1 + gains.mu2 * E2
-    w0 = op.trace_uxx0(state.u)
-    mem = tv.memory
-    F = gains.alpha * w0 + gains.beta * mem
-    P = model.assemble_P(gains, kernel)
-    V = np.array([w0, mem])
-    # <PV,V> is an upper bound of dE/dt, not equal to it: dE/dt = <PV,V> - D
-    # with the Cauchy-Schwarz defect D = |beta| (int lam z1^2 - mem^2 / int lam)
-    qform = float(V @ P @ V)
+    _, E1 = mass_and_weighted_mass(u, grid)
+    w0 = op.trace_uxx0(u)
     # ||u_xx||^2 by centered differences; boundary values from the traces
     h = grid.h
-    uext = np.concatenate(([0.0], state.u, [0.0]))
+    uext = np.concatenate(([0.0], u, [0.0]))
     uxx = (uext[:-2] - 2.0 * uext[1:-1] + uext[2:]) / h ** 2
-    uxxL = op.trace_uxxL(state.u)
+    uxxL = op.trace_uxxL(u)
     with np.errstate(over="ignore"):    # numpy's ** gives inf, Python's raises
         h2 = h * (0.5 * np.float64(w0) ** 2 + (uxx ** 2).sum()
                   + 0.5 * np.float64(uxxL) ** 2)
-    return DiagnosticsRecord(t=state.t_now, E=E, E1=E1, E2=E2, xi=xi, w0=w0,
-                             F=F, qform=qform, l2=l2, h2seminorm=float(h2))
+    return E1, w0, float(h2)
+
+
+def build_records(config, series, values: TraceValues, steps: Sequence[int],
+                  scalars: Sequence[tuple]) -> list:
+    """The energy records at the time steps `steps` of a run.
+
+    `series` and `values` hold the run's per-step t, ||u||^2 and history
+    functionals; `scalars` holds the `state_scalars` of each record's state.
+    w0 comes from the state, not from the series: at step 0 the series
+    holds the history sample z0(0), which need not equal u0''(0).
+    """
+    if not steps:
+        return []
+    gains = config.gains
+    i = np.asarray(steps)
+    E1, w0, h2 = np.array(scalars).T
+    l2, mem = series.l2[i], values.memory[i]
+    P = model.assemble_P(gains, config.kernel)
+    absb = abs(gains.beta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = l2 + absb * values.z_plain[i]
+        E2 = absb * values.z_exp[i]
+        xi = E + gains.mu1 * E1 + gains.mu2 * E2
+        F = gains.alpha * w0 + gains.beta * mem
+        # <PV,V>, V = (w0, mem), is an upper bound of dE/dt, not equal to
+        # it: dE/dt = <PV,V> - D with the Cauchy-Schwarz defect
+        # D = |beta| (int lam z1^2 - mem^2 / int lam)
+        qform = ((w0 * P[0, 0] + mem * P[1, 0]) * w0
+                 + (w0 * P[0, 1] + mem * P[1, 1]) * mem)
+    cols = zip(series.t[i], E, E1, E2, xi, w0, F, qform, l2, h2)
+    return [DiagnosticsRecord(*map(float, c)) for c in cols]
 
 
 @dataclass(frozen=True)
@@ -141,11 +154,8 @@ def check_apriori_estimates(result, config) -> dict:
     est1_rhs = result.h_norm0_sq
     C_hat = est1_lhs / est1_rhs if est1_rhs > 0 else float("nan")
 
-    absb = abs(config.gains.beta)
-    z0_sq = (result.h_norm0_sq - float(s.l2[0])) / absb
-    zT_sq = weighted_trace(result.final.history, _trace_weights(config)).z_plain
-    est3_lhs = z0_sq
-    est3_rhs = zT_sq + int_lam_z1
+    est3_lhs = float(s.z_plain[0])
+    est3_rhs = float(s.z_plain[-1]) + int_lam_z1
 
     est4_lhs = T * float(s.l2[0])
     est4_rhs = int_l2 + T * int_w2

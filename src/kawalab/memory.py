@@ -13,10 +13,9 @@ lag nodes on every call; they live in `tests/conftest.py` as the test
 oracle.  The solver uses set-up-once forms of them: `feedback_integrals`
 (the memory feedback at the one or two times of a step, bit-identical to
 `memory_integral`, because the trajectory amplifies a single rounding
-change), `weighted_trace` (the observation functionals at t_eval = t_now, as
-fixed weights on the stored samples) and `trace_series` (those weights run
-along a whole stored trace after a run, which gives the functionals at every
-step).
+change) and `trace_series` (the observation functionals behind the energy,
+the Lyapunov functional and the boundary flux, as fixed weights run along a
+whole stored trace after a run, which gives them at every step).
 """
 
 from __future__ import annotations
@@ -165,13 +164,13 @@ def feedback_integrals(buf: HistoryBuffer, quad: LagQuadrature,
 
 
 class TraceValues(NamedTuple):
-    """The history functionals at t_now (no beta factors)."""
+    """The history functionals at every sample time (no beta factors)."""
 
-    memory: float    # int lam(s) w(t-s) ds
-    lam_sq: float    # int lam(s) w(t-s)^2 ds
-    slam_sq: float   # int s lam(s) w(t-s)^2 ds
-    z_plain: float   # z_energy(..., "plain")
-    z_exp: float     # z_energy(..., "exp", delta)
+    memory: np.ndarray    # int lam(s) w(t-s) ds
+    lam_sq: np.ndarray    # int lam(s) w(t-s)^2 ds
+    slam_sq: np.ndarray   # int s lam(s) w(t-s)^2 ds
+    z_plain: np.ndarray   # z_energy(..., "plain")
+    z_exp: np.ndarray     # z_energy(..., "exp", delta)
 
 
 def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
@@ -239,34 +238,13 @@ class TraceWeights:
         self.quadratic = rows[1:]    # lam_sq, slam_sq, z_plain, z_exp
 
 
-def weighted_trace(buf: HistoryBuffer, weights: TraceWeights) -> TraceValues:
-    """The history functionals at t_now as fixed-weight sums over the samples."""
-    if buf.dt != weights.dt:
-        raise ValueError("history buffer and weights have different dt")
-    w = buf.w
-    n, K = len(w), weights.K
-    if n <= K:
-        raise ValueError("insufficient history span")
-    V = np.empty(K + 3)
-    V[:K + 1] = w[n - 1 - K:]
-    for slot, (j, f) in zip((K + 1, K + 2), weights.ends):
-        a = w[n - 1 - j]
-        V[slot] = a if f == 0.0 else (1.0 - f) * a + f * w[n - 2 - j]
-    # a diverging trace may overflow here, like the state norms in the run;
-    # the step's finiteness check aborts such runs
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad = weights.quadratic @ (V * V)
-    return TraceValues(float(weights.linear @ V), *map(float, quad))
-
-
-def trace_series(w: np.ndarray, weights: TraceWeights):
-    """(memory, lam_sq, slam_sq) of `weighted_trace` at every sample time.
+def trace_series(w: np.ndarray, weights: TraceWeights) -> TraceValues:
+    """The `TraceValues` functionals at every sample time of a trace.
 
     `w` is a whole trace at spacing weights.dt, oldest first; entry i of each
     array is the functional at the time of w[K + i], the first time with K
     samples behind it.  One correlation per functional plus the two
-    interpolated endpoint terms; the values agree with `weighted_trace` to
-    rounding.
+    interpolated endpoint terms.
     """
     K = weights.K
     n = len(w)
@@ -281,10 +259,10 @@ def trace_series(w: np.ndarray, weights: TraceWeights):
     def series(row, x, e1, e2):
         return np.correlate(x, row[:K + 1], "valid") + row[K + 1] * e1 + row[K + 2] * e2
 
-    # a diverging trace may overflow here, as in `weighted_trace`
+    # a diverging trace may overflow here, like the state norms in the run;
+    # the step's finiteness check aborts such runs
     with np.errstate(over="ignore", invalid="ignore"):
         memory = series(weights.linear, w, v1, v2)
         w2, s1, s2 = w * w, v1 * v1, v2 * v2
-        lam_sq = series(weights.quadratic[0], w2, s1, s2)
-        slam_sq = series(weights.quadratic[1], w2, s1, s2)
-    return memory, lam_sq, slam_sq
+        return TraceValues(memory, *(series(row, w2, s1, s2)
+                                     for row in weights.quadratic))

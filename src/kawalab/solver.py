@@ -18,8 +18,10 @@ narrow row blocks, `_rhs_layout`), the memory feedback of the oracle
 `memory.feedback_integrals`), the D1 products and the band solve.  A single
 rounding change early in a run moves the final energy by up to ~1e-5
 relative.  The time loop advances the state and stores t, the trace and
-||u||^2 per step; the history functionals of the series are computed from the
-stored trace after the run (`memory.trace_series`).
+||u||^2 per step, and at a record step the few record values that need the
+state; the history functionals are computed from the stored trace after the
+run (`memory.trace_series`), and the energy records from those series
+(`diagnostics.build_records`).
 
 The nonlinearity uses the split u^p u_x ~ (D1(g) + |u|^p (D1 u)) / (p+2)
 with g = |u|^p u, which is consistent for all p in [1, 2] and makes
@@ -41,7 +43,7 @@ import numpy as np
 
 from .discretization import BANDWIDTH, Grid, SpatialOperator, build_operator
 from .memory import (HistoryBuffer, LagQuadrature, TraceWeights,
-                     feedback_integrals, trace_series, weighted_trace)
+                     feedback_integrals, trace_series)
 from .model import FeedbackGains, MemoryKernel, PhysicalParams
 
 
@@ -145,17 +147,35 @@ def _build_mms(params: PhysicalParams, amplitude: float):
 
     Satisfies u = u_x = 0 at both ends and u_xx = 0 at both ends, so the
     feedback loop is consistent with F* = 0.  The solution is nonnegative on
-    (0, L), so u^p is well defined for fractional p.
+    (0, L), so u^p is well defined for fractional p.  The x-derivatives of
+    q(x) sin(k x), q = x^2 (L-x)^2 and k = pi / L, follow from the Leibniz
+    rule: q^(j) = 0 for j > 4, and the m-th derivative of sin(k x) is k^m
+    times sin, cos, -sin or -cos for m = 0, 1, 2, 3 mod 4.
     """
-    import sympy as sp
+    L = params.L
+    k = math.pi / L
+    q = np.polynomial.Polynomial([0.0, 0.0, L * L, -2.0 * L, 1.0])
+    dq = [q.deriv(j) for j in range(5)]
 
-    x, t = sp.symbols("x t")
-    L = sp.Float(params.L, 30)
-    u = amplitude * sp.exp(-t) * x ** 2 * (L - x) ** 2 * sp.sin(sp.pi * x / L)
-    f = (sp.diff(u, t) + params.a * sp.diff(u, x) + params.b * sp.diff(u, x, 3)
-         - sp.diff(u, x, 5) + u ** sp.Float(params.p) * sp.diff(u, x))
-    exact = sp.lambdify((x, t), u, "numpy")
-    forcing = sp.lambdify((x, t), f, "numpy")
+    def derivs(x, orders):
+        """d^n/dx^n of q(x) sin(k x) for each n in `orders`."""
+        x = np.asarray(x, dtype=float)
+        sin, cos = np.sin(k * x), np.cos(k * x)
+        trig = (sin, cos, -sin, -cos)
+        qx = [d(x) for d in dq]
+        return [sum(math.comb(n, j) * k ** (n - j) * qx[j] * trig[(n - j) % 4]
+                    for j in range(min(n, 4) + 1)) for n in orders]
+
+    def exact(x, t):
+        (v,) = derivs(x, (0,))
+        return amplitude * math.exp(-t) * v
+
+    def forcing(x, t):
+        v, v1, v3, v5 = derivs(x, (0, 1, 3, 5))
+        c = amplitude * math.exp(-t)
+        u, ux = c * v, c * v1
+        return -u + params.a * ux + params.b * c * v3 - c * v5 + u ** params.p * ux
+
     return exact, forcing
 
 
@@ -377,6 +397,7 @@ class TimeSeries:
     l2: np.ndarray         # ||u||^2
     lam_z1sq: np.ndarray   # int lam(s) z(t,1,s)^2 ds
     slam_z1sq: np.ndarray  # int s lam(s) z(t,1,s)^2 ds
+    z_plain: np.ndarray    # int lam(s) int_0^s z(t,1,sigma)^2 dsigma ds
 
 
 @dataclass
@@ -391,9 +412,11 @@ class RunResult:
 def run(config: SimConfig) -> RunResult:
     """Advance to T_end, recording diagnostics every record_every steps.
 
-    The loop stores t, the trace w and ||u||^2 of every step; the history
-    functionals of the series come from the stored trace after the loop.
-    Deterministic: identical configs produce bitwise-identical trajectories.
+    The loop stores t, the trace w and ||u||^2 of every step, and the
+    `diagnostics.state_scalars` of every record step; the history
+    functionals of the series and the records come from those after the
+    loop.  Deterministic: identical configs produce bitwise-identical
+    trajectories.
     """
     from . import diagnostics  # local import: diagnostics also drives runs
 
@@ -402,25 +425,22 @@ def run(config: SimConfig) -> RunResult:
     n_steps = config.n_steps
     h = st.grid.h
 
-    records = []
     t = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
     # the initial history, then w(t_k) at index n0 - 1 + k
     n0 = len(state.history.w)
     trace = np.empty(n0 + n_steps)
     trace[:n0] = state.history.w
+    rec_steps, rec_scalars = [], []     # each record's step and state_scalars
 
-    h0 = (h * (state.u ** 2).sum()
-          + abs(config.gains.beta)
-          * weighted_trace(state.history, st.trace_weights).z_plain)
     t[0] = state.t_now
     # A diverging state overflows ||u||^2 some steps before the state itself
     # turns non-finite, which the step's finiteness check makes a SolverAbort.
     with np.errstate(over="ignore"):
         l2[0] = h * (state.u ** 2).sum()
     if config.record_every > 0:
-        records.append(diagnostics.compute_record(state, config, st.op,
-                                                  st.trace_weights))
+        rec_steps.append(0)
+        rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
     for k in range(1, n_steps + 1):
         try:
             state = st.step(state)
@@ -436,16 +456,18 @@ def run(config: SimConfig) -> RunResult:
             l2[k] = h * (state.u ** 2).sum()
         if config.record_every > 0 and (
                 state.step_index % config.record_every == 0 or k == n_steps):
-            records.append(diagnostics.compute_record(state, config, st.op,
-                                                      st.trace_weights))
+            rec_steps.append(k)
+            rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
 
     w = trace[n0 - 1:]
-    memory, lam_sq, slam_sq = trace_series(trace[n0 - 1 - st.trace_weights.K:],
-                                           st.trace_weights)
+    tv = trace_series(trace[n0 - 1 - st.trace_weights.K:], st.trace_weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        F = config.gains.alpha * w + config.gains.beta * memory
-    series = TimeSeries(t=t, w=w, F=F, l2=l2, lam_z1sq=lam_sq,
-                        slam_z1sq=slam_sq)
+        F = config.gains.alpha * w + config.gains.beta * tv.memory
+    series = TimeSeries(t=t, w=w, F=F, l2=l2, lam_z1sq=tv.lam_sq,
+                        slam_z1sq=tv.slam_sq, z_plain=tv.z_plain)
+    records = diagnostics.build_records(config, series, tv, rec_steps,
+                                        rec_scalars)
+    h0 = l2[0] + abs(config.gains.beta) * tv.z_plain[0]
     mms_err = None
     if st.mms_exact is not None:
         exact = st.mms_exact(st.grid.x, state.t_now)

@@ -1,7 +1,7 @@
 """Shared fixtures: the reference configuration in object and JSON form, and
 the oracles that the package's fast forms must reproduce: the dense operator
-assembly, the interpolating history functionals and the closed form of
-det P."""
+assembly, the interpolating history functionals, their fixed-weight form at
+one time and the closed form of det P."""
 
 import json
 import math
@@ -11,7 +11,7 @@ import pytest
 
 from kawalab.discretization import (_GL1, _GL2, _D1, _D3, _D5, _GR1_F, _GR1_W,
                                     _GR2_F, _GR2_W)
-from kawalab.memory import HistoryBuffer, _lag_grid
+from kawalab.memory import HistoryBuffer, TraceValues, TraceWeights, _lag_grid
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, r_max
 from kawalab.solver import SimConfig
 
@@ -131,7 +131,7 @@ def det_P_closed_form(gains: FeedbackGains, kernel: MemoryKernel) -> float:
 
 # ---------------------------------------------------------------------------
 # interpolating history functionals: the general forms of
-# `memory.feedback_integrals`, `memory.weighted_trace` and `memory.trace_series`
+# `memory.feedback_integrals` and `memory.trace_series`
 
 
 def copy_history(buf: HistoryBuffer) -> HistoryBuffer:
@@ -213,3 +213,22 @@ def trace_sq_integral(buf: HistoryBuffer, kernel: MemoryKernel, weight: str = "o
         raise ValueError(f"unknown weight {weight!r}")
     vals = np.asarray(kernel(s)) * W * w_at(buf, t - s) ** 2
     return float(np.trapezoid(vals, s))
+
+
+def weighted_trace(buf: HistoryBuffer, weights: TraceWeights) -> TraceValues:
+    """The `TraceValues` functionals at t_now of one buffer, as floats: the
+    `TraceWeights` rows applied to the node values of that one time, the
+    per-time form of `memory.trace_series`."""
+    if buf.dt != weights.dt:
+        raise ValueError("history buffer and weights have different dt")
+    w = buf.w
+    n, K = len(w), weights.K
+    if n <= K:
+        raise ValueError("insufficient history span")
+    V = np.empty(K + 3)
+    V[:K + 1] = w[n - 1 - K:]
+    for slot, (j, f) in zip((K + 1, K + 2), weights.ends):
+        a = w[n - 1 - j]
+        V[slot] = a if f == 0.0 else (1.0 - f) * a + f * w[n - 2 - j]
+    quad = weights.quadratic @ (V * V)
+    return TraceValues(float(weights.linear @ V), *map(float, quad))

@@ -511,6 +511,19 @@ def test_sweep_non_finite_values_are_config_error(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_non_positive_workers_is_config_error(tmp_path,
+                                                    reference_config_path,
+                                                    capsys, workers):
+    rc = main(["sweep", "--config", reference_config_path, "--out",
+               str(tmp_path / "out"), "--axis", "gains.alpha",
+               "--values", "0.3,0.4", "--workers", workers])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--workers" in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: one field of the reference config replaced by a bad value
 

@@ -1,6 +1,9 @@
 """Energy records, decay fits, a priori estimates, observability, spectra."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,12 +11,12 @@ import pytest
 from conftest import reference_sim_config
 from kawalab import diagnostics
 from kawalab.diagnostics import (DecayFit, DiagnosticsRecord,
-                                 check_apriori_estimates, compute_record,
+                                 check_apriori_estimates,
                                  estimate_observability, fit_decay,
                                  random_initial_data, sandwich_margins,
                                  spectral_lemma_test, spectral_residuals,
                                  spectral_threshold)
-from kawalab.solver import Stepper, run
+from kawalab.solver import run
 
 
 def _fake_records(rate, kappa=1.0, n=60, T=30.0):
@@ -45,15 +48,13 @@ def test_fit_decay_nothing_to_fit():
         fit_decay(recs, (0.0, 40.0))
 
 
-def test_compute_record_oracles():
+def test_initial_record_oracles():
     """u = x^2 (pi - x)^2, empty history: closed-form E, E1, traces, H2."""
     pi = math.pi
     cfg = reference_sim_config(
         T_end=0.0,
         u0=lambda x: np.asarray(x) ** 2 * (pi - np.asarray(x)) ** 2)
-    st = Stepper(cfg)
-    state = st.initial_state()
-    rec = compute_record(state, cfg, st.op)
+    (rec,) = run(cfg).records
     assert rec.t == 0.0
     # int_0^pi x^4 (pi - x)^4 dx = pi^9 B(5,5) = pi^9 / 630
     assert rec.E == pytest.approx(pi ** 9 / 630.0, rel=1e-4)
@@ -159,6 +160,19 @@ def test_spectral_lemma_curve():
     out = spectral_lemma_test([1.0, 2.0], N=150, n_pairs=20)
     assert set(out) == {1.0, 2.0}
     assert all(v > 0.0 for v in out.values())
+
+
+def test_spectral_scan_script_smoke():
+    """scripts/spectral_scan.py at a small N: one CSV row per L in 0.5..10."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "spectral_scan.py"), "30"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "L,min_residual,candidate"
+    assert len(lines) == 97
 
 
 def test_spectral_threshold_stabilized():

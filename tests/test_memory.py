@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (copy_history, memory_integral, trace_sq_integral, w_at,
-                      z_energy)
+                      weighted_trace, z_energy)
 from kawalab.memory import (HistoryBuffer, LagQuadrature, TraceWeights,
-                            feedback_integrals, trace_series, weighted_trace)
+                            feedback_integrals, trace_series)
 from kawalab.model import MemoryKernel
 
 
@@ -196,9 +196,10 @@ def _kernel(form, tau1, tau2):
        tau1=st.floats(0.05, 1.5), width=st.floats(0.01, 1.5),
        form=st.sampled_from(["constant", "exponential", "tabulated"]),
        t_now=st.floats(0.0, 100.0), delta=st.floats(0.0, 2.0))
-def test_weighted_trace_matches_interpolating_functionals(seed, dt, tau1, width,
-                                                          form, t_now, delta):
-    """Each fixed-weight functional equals the interpolating one to rounding.
+def test_trace_series_matches_interpolating_functionals(seed, dt, tau1, width,
+                                                        form, t_now, delta):
+    """Each fixed-weight functional equals the interpolating one to rounding,
+    at the last time of the trace.
 
     The scale is the same functional of the constant history max|w|, which
     bounds it, so a functional that nearly vanishes does not set the scale.
@@ -215,7 +216,7 @@ def test_weighted_trace_matches_interpolating_functionals(seed, dt, tau1, width,
     w = rng.standard_normal(n)
     buf = HistoryBuffer(dt, tau2, w, t_now)
     top = HistoryBuffer(dt, tau2, np.full(n, np.abs(w).max()), t_now)
-    got = weighted_trace(buf, TraceWeights(kernel, dt, delta))
+    got = trace_series(w, TraceWeights(kernel, dt, delta))
     oracle = {
         "memory": lambda b: memory_integral(b, kernel),
         "lam_sq": lambda b: trace_sq_integral(b, kernel, "one"),
@@ -224,7 +225,7 @@ def test_weighted_trace_matches_interpolating_functionals(seed, dt, tau1, width,
         "z_exp": lambda b: z_energy(b, kernel, "exp", delta=delta),
     }
     for name, f in oracle.items():
-        assert abs(getattr(got, name) - f(buf)) <= 1e-11 * f(top), name
+        assert abs(getattr(got, name)[-1] - f(buf)) <= 1e-11 * f(top), name
 
 
 def test_feedback_integral_is_memory_integral_bitwise():
@@ -266,7 +267,7 @@ def test_trace_series_matches_weighted_trace(form, tau1, tau2):
         buf.push(x)
         rows.append(weighted_trace(buf, weights))
     got = trace_series(w[n0 - 1 - weights.K:], weights)
-    for col, name in zip(got, ("memory", "lam_sq", "slam_sq")):
+    for col, name in zip(got, got._fields):
         want = np.array([getattr(r, name) for r in rows])
         assert col.shape == want.shape
         assert np.abs(col - want).max() <= 1e-13 * np.abs(want).max(), name

@@ -14,11 +14,10 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf
 
 from conftest import (copy_history, dense_d1, dense_operator_oracle,
-                      memory_integral, reference_sim_config)
+                      memory_integral, reference_sim_config, weighted_trace)
 from kawalab.discretization import BANDWIDTH
-from kawalab.memory import weighted_trace
-from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams
-from kawalab.solver import SimConfig, SolverAbort, Stepper, run
+from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
+from kawalab.solver import SimConfig, SolverAbort, Stepper, _build_mms, run
 
 
 def test_dt_exceeding_tau1_rejected():
@@ -399,7 +398,8 @@ def sampled_series(cfg):
     ||u||^2 and `weighted_trace` of the live buffer."""
     st = Stepper(cfg)
     state = st.initial_state()
-    cols = {k: [] for k in ("t", "w", "F", "l2", "lam_z1sq", "slam_z1sq")}
+    cols = {k: [] for k in ("t", "w", "F", "l2", "lam_z1sq", "slam_z1sq",
+                            "z_plain")}
 
     def sample(state):
         buf = state.history
@@ -411,6 +411,7 @@ def sampled_series(cfg):
         cols["l2"].append(float(st.grid.h * (state.u ** 2).sum()))
         cols["lam_z1sq"].append(tv.lam_sq)
         cols["slam_z1sq"].append(tv.slam_sq)
+        cols["z_plain"].append(tv.z_plain)
 
     sample(state)
     for _ in range(cfg.n_steps):
@@ -432,8 +433,101 @@ def test_series_matches_per_step_sampling(form, startup_steps):
     want = sampled_series(cfg)
     for name in ("t", "w", "l2"):
         assert (getattr(series, name) == want[name]).all(), name
-    for name in ("F", "lam_z1sq", "slam_z1sq"):
+    for name in ("F", "lam_z1sq", "slam_z1sq", "z_plain"):
         got = getattr(series, name)
         assert got.shape == want[name].shape
         assert np.abs(got - want[name]).max() <= \
             1e-13 * np.abs(want[name]).max(), name
+
+
+# ---------------------------------------------------------------------------
+# the post-run records against records of the live state
+
+
+def live_records(cfg):
+    """The energy record of the live state at every record step, as the time
+    loop once computed it: the norms and traces of u and `weighted_trace` of
+    the live buffer."""
+    st = Stepper(cfg)
+    gains, grid, op = cfg.gains, st.grid, st.op
+    h, absb = grid.h, abs(gains.beta)
+    P = assemble_P(gains, cfg.kernel)
+    recs = []
+
+    def record(state):
+        u = state.u
+        tv = weighted_trace(state.history, st.trace_weights)
+        l2 = float(h * (u ** 2).sum())
+        E1 = float(h * (grid.x * u ** 2).sum())
+        w0 = op.trace_uxx0(u)
+        uxxL = op.trace_uxxL(u)
+        uext = np.concatenate(([0.0], u, [0.0]))
+        uxx = (uext[:-2] - 2.0 * uext[1:-1] + uext[2:]) / h ** 2
+        E = l2 + absb * tv.z_plain
+        E2 = absb * tv.z_exp
+        V = np.array([w0, tv.memory])
+        recs.append(dict(
+            t=state.t_now, E=E, E1=E1, E2=E2, xi=E + gains.mu1 * E1 + gains.mu2 * E2,
+            w0=w0, F=gains.alpha * w0 + gains.beta * tv.memory,
+            qform=float(V @ P @ V), l2=l2,
+            h2seminorm=float(h * (0.5 * w0 * w0 + (uxx ** 2).sum()
+                                  + 0.5 * uxxL * uxxL))))
+
+    state = st.initial_state()
+    record(state)
+    for k in range(1, cfg.n_steps + 1):
+        state = st.step(state)
+        if k % cfg.record_every == 0 or k == cfg.n_steps:
+            record(state)
+    return recs
+
+
+@pytest.mark.parametrize("linear_only", [False, True])
+@pytest.mark.parametrize("form", sorted(OFFGRID_KERNELS))
+def test_records_match_live_state(form, linear_only):
+    """The records built after the loop equal those of the live state: the
+    state's values bit for bit, record 0 included, and the history
+    functionals to rounding, 1e-13 of each column's largest magnitude."""
+    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, 1.0),
+                    FeedbackGains(0.5, 0.25, 0.01, 0.01),
+                    OFFGRID_KERNELS[form], N=64, dt=0.01, T_end=1.0,
+                    u0=lambda x: 2.0 * np.sin(np.asarray(x)),
+                    z0=lambda t: 0.3 * math.sin(2.0 * t + 0.4),
+                    record_every=7, linear_only=linear_only)
+    result = run(cfg)
+    got, want = result.records, live_records(cfg)
+    assert len(got) == len(want) == 16
+    # record 0's w0 is u0''(0), not the history sample z0(0) of the series
+    assert got[0].w0 != result.series.w[0]
+    for name in ("t", "w0", "l2", "E1", "h2seminorm"):
+        assert [getattr(r, name) for r in got] == [r[name] for r in want], name
+    for name in ("E", "E2", "xi", "F", "qform"):
+        g = np.array([getattr(r, name) for r in got])
+        w = np.array([r[name] for r in want])
+        assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), name
+
+
+# ---------------------------------------------------------------------------
+# the manufactured solution against symbolic differentiation
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_mms_matches_symbolic_derivatives(p):
+    """The closed-form exact solution and forcing equal sympy's, to 1e-12 of
+    each one's largest magnitude on the grid."""
+    sp = pytest.importorskip("sympy")
+    params = PhysicalParams(a=1.0, b=0.7, L=math.pi, p=p)
+    amplitude = 0.8
+    x, t = sp.symbols("x t")
+    L = sp.Float(params.L, 30)
+    u = amplitude * sp.exp(-t) * x ** 2 * (L - x) ** 2 * sp.sin(sp.pi * x / L)
+    f = (sp.diff(u, t) + params.a * sp.diff(u, x) + params.b * sp.diff(u, x, 3)
+         - sp.diff(u, x, 5) + u ** sp.Float(params.p) * sp.diff(u, x))
+    want_u = sp.lambdify((x, t), u, "numpy")
+    want_f = sp.lambdify((x, t), f, "numpy")
+    exact, forcing = _build_mms(params, amplitude)
+    xs = np.linspace(0.0, params.L, 203)[1:-1]
+    for tv in (0.0, 0.37, 1.0):
+        for got, want in ((exact(xs, tv), want_u(xs, tv)),
+                          (forcing(xs, tv), want_f(xs, tv))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), tv
