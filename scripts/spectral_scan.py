@@ -7,7 +7,8 @@ sixth condition u''(0) = 0 is minimized over the lowest eigenpairs.  Near-zero
 dips flag critical-length candidates where a nontrivial solution of the full
 overdetermined eigenproblem may exist.
 
-Usage: spectral_scan.py [N] (default 200)
+Usage: spectral_scan.py [N] (an integer above 50, the eigenpairs scanned;
+default 200).  Exit 2 on a bad argument.
 """
 
 import sys
@@ -16,11 +17,21 @@ import numpy as np
 
 from kawalab.diagnostics import spectral_lemma_test
 
+N_PAIRS = 50
+USAGE = (f"usage: spectral_scan.py [N]  (N an integer above {N_PAIRS},"
+         " default 200)")
 
-def main():
-    N = int(sys.argv[1]) if len(sys.argv) > 1 else 200
+
+def main(argv):
+    try:
+        (N,) = [int(a) for a in argv] or [200]
+    except ValueError:
+        N = None
+    if N is None or N <= N_PAIRS:
+        print(USAGE, file=sys.stderr)
+        return 2
     Ls = np.arange(0.5, 10.01, 0.1)
-    curve = spectral_lemma_test([float(L) for L in Ls], N=N, n_pairs=50)
+    curve = spectral_lemma_test([float(L) for L in Ls], N=N, n_pairs=N_PAIRS)
     residuals = np.array([curve[float(L)] for L in Ls])
     floor = np.median(residuals) * 0.05
     print("L,min_residual,candidate")
@@ -33,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -30,6 +30,12 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration; message names the field."""
 
 
+class UnusedFieldError(ConfigError):
+    """A config field that the run would not use: a key that the parser
+    never reads (misspelt, misplaced or moot), or one that another field
+    overrides.  It fails a whole sweep, whatever the swept value."""
+
+
 # Limits that turn an absurd value into a config error instead of a failed
 # allocation or an endless run.  MAX_N ends the range over which the solver's
 # row-block right-hand side is checked to equal the dense product bit for bit.
@@ -47,6 +53,53 @@ DEFAULTED_FIELDS = ("seed", "gains.delta", "kernel.params.c",
 
 # ---------------------------------------------------------------------------
 # config parsing
+
+
+class _Tracked(dict):
+    """A config object that records the keys the parser looks up in it.
+
+    A lookup (`[]` or `get`) of an object-valued key returns that object
+    tracked too, so `unread()` finds, in the whole document, the keys that
+    the parser never read.  A membership test (`in`) reads nothing, but it
+    and `get` record the keys asked for that the object leaves out.
+    """
+
+    def __init__(self, data: dict, path: str = ""):
+        super().__init__(data)
+        self._path = path
+        self._read = {}     # key -> its tracked object, or None for a leaf
+        self._absent = {}   # keys asked for and left out, in asking order
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        if key not in self._read:
+            self._read[key] = (_Tracked(value, f"{self._path}{key}.")
+                               if isinstance(value, dict) else None)
+        child = self._read[key]
+        return value if child is None else child
+
+    def __contains__(self, key):
+        found = super().__contains__(key)
+        if not found:
+            self._absent[key] = None
+        return found
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def unread(self) -> tuple:
+        """(the keys never read, the keys left out of the objects that hold
+        them), as dotted paths.  A left-out key, at its default, may be what
+        makes its neighbours moot (an omitted `type`), or the name that a
+        misspelt key meant."""
+        unread = [self._path + key for key in self if key not in self._read]
+        absent = [self._path + key for key in self._absent] if unread else []
+        for child in self._read.values():
+            if child is not None:
+                more, left_out = child.unread()
+                unread += more
+                absent += left_out
+        return unread, absent
 
 
 def _section(doc: dict, name: str, required=True, parent="") -> dict:
@@ -157,14 +210,16 @@ def _build_u0(spec: dict, params: PhysicalParams, seed: int):
         if mode < 1 or mode != int(mode):
             raise ConfigError("initial.u0.mode must be an integer >= 1")
         mode = int(mode)
-        if (spec.get("h_norm_r_max_fraction") is not None
-                or "amplitude" not in spec):
+        if "amplitude" in spec and "h_norm_r_max_fraction" in spec:
+            raise UnusedFieldError("give one of 'initial.u0.amplitude' and "
+                                   "'initial.u0.h_norm_r_max_fraction', not both")
+        if "amplitude" in spec:
+            amp = _num(spec, "initial.u0", "amplitude")
+        else:
             # ||A sin(m pi x/L)||_{L^2} = A sqrt(L/2); scale so the H norm
             # (z0 must be zero for this to be exact) hits frac * r_max
             frac = _num(spec, "initial.u0", "h_norm_r_max_fraction")
             amp = frac * r_max(params) / math.sqrt(L / 2.0)
-        else:
-            amp = _num(spec, "initial.u0", "amplitude")
         return lambda x: amp * np.sin(mode * math.pi * np.asarray(x) / L)
     if kind == "bump":
         amp = _num(spec, "initial.u0", "amplitude")
@@ -204,6 +259,8 @@ def _build_z0(spec: dict, seed: int):
 
 
 def build_sim_config(doc: dict) -> SimConfig:
+    """The run's config; a key of `doc` that it never reads is an error."""
+    doc = _Tracked(doc)
     params, gains, kernel = build_model(doc)
     n = _section(doc, "numerics")
     init = _section(doc, "initial", required=False)
@@ -233,6 +290,12 @@ def build_sim_config(doc: dict) -> SimConfig:
                               f"{MAX_SAMPLES}, got {span!r} / {dt!r}")
     if config.n_steps == 0:
         raise ConfigError(f"numerics.T_end = {T_end!r} gives no time step")
+    unread, absent = doc.unread()
+    if unread:
+        quote = lambda names: ", ".join(f"'{name}'" for name in names)
+        raise UnusedFieldError(
+            f"field(s) not read by this config: {quote(unread)}"
+            + (f" (left out beside them: {quote(absent)})" if absent else ""))
     return config
 
 
@@ -288,28 +351,43 @@ def cmd_check(doc: dict, out: str) -> int:
     return 0
 
 
+def _decay_fit(result, config: SimConfig) -> diagnostics.DecayFit:
+    """The run's decay fit, over (T_end/6, T_end): the initial transient is
+    left out.  Raises ValueError when the window has too few records."""
+    return diagnostics.fit_decay(result.records,
+                                 (config.T_end / 6.0, config.T_end))
+
+
+def _energy_monotone(records) -> tuple:
+    """(largest energy increment between records, its tolerance 1e-10 E(0),
+    whether every increment stays within it)."""
+    inc = diagnostics.energy_increments(records)
+    tol = 1e-10 * (records[0].E if records else 0.0)
+    if not inc.size:
+        return 0.0, tol, True
+    return float(inc.max()), tol, bool(inc.max() <= tol)
+
+
 def _run_report(result, config: SimConfig, cert: Certificate) -> dict:
     report = {"certificate": cert.to_dict(),
               "n_records": len(result.records),
               "h_norm0_sq": result.h_norm0_sq,
               "E_final": result.records[-1].E if result.records else None}
     try:
-        fit = diagnostics.fit_decay(result.records,
-                                    (config.T_end / 6.0, config.T_end))
+        fit = _decay_fit(result, config)
         report["decay_fit"] = {"t_window": list(fit.t_window), "rate": fit.rate,
                                "r2": fit.r2, "kappa_hat": fit.kappa_hat}
     except ValueError as e:
         report["decay_fit"] = {"error": str(e)}
     lo, hi = diagnostics.sandwich_margins(result.records, config.params,
                                           config.gains)
-    inc = diagnostics.energy_increments(result.records)
-    E0 = result.records[0].E if result.records else 0.0
+    max_inc, tol, monotone = _energy_monotone(result.records)
     report["invariants"] = {
         "sandwich_violation_low": lo,
         "sandwich_violation_high": hi,
-        "max_energy_increment": float(inc.max()) if inc.size else 0.0,
-        "energy_monotone_tol": 1e-10 * E0,
-        "energy_monotone": bool(inc.size == 0 or inc.max() <= 1e-10 * E0),
+        "max_energy_increment": max_inc,
+        "energy_monotone_tol": tol,
+        "energy_monotone": monotone,
     }
     if result.mms_error is not None:
         report["mms_error"] = result.mms_error
@@ -383,8 +461,7 @@ def _sweep_worker(args) -> dict:
         config = build_sim_config(sub)
         result = run(config)
         try:
-            fit = diagnostics.fit_decay(result.records,
-                                        (config.T_end / 6.0, config.T_end))
+            fit = _decay_fit(result, config)
             row["rate"] = repr(fit.rate)
             row["r2"] = repr(fit.r2)
         except ValueError:
@@ -408,11 +485,17 @@ def _worker_count(cli_value) -> int:
 def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     if not axis or not values:
         raise ConfigError("sweep requires --axis and --values")
-    for v in values:    # validate the axis and every value up front
+    for v in values:    # validate the axis, every value and the fields read
         if not math.isfinite(v):
             raise ConfigError(f"axis '{axis}': --values must be finite numbers,"
                               f" got {v!r}")
-        _sweep_axis_set(doc, axis, v)
+        sub = _sweep_axis_set(doc, axis, v)
+        try:
+            build_sim_config(sub)
+        except UnusedFieldError:
+            raise
+        except (ConfigError, ConditionError, ValueError):
+            pass    # a bad value fails its own row
     jobs = [(i, doc, axis, v) for i, v in enumerate(values)]
     if workers > 1 and len(jobs) > 1:
         # local import: the pool machinery is loaded only when a pool runs
@@ -473,10 +556,7 @@ def cmd_verify(doc: dict, out: str) -> int:
 
     lo, hi = diagnostics.sandwich_margins(result.records, params, gains)
     add("sandwich", max(lo, hi), 0.0, lo <= 0.0 and hi <= 0.0)
-    inc = diagnostics.energy_increments(result.records)
-    E0 = result.records[0].E if result.records else 0.0
-    add("energy_monotone", float(inc.max()) if inc.size else 0.0, 1e-10 * E0,
-        bool(inc.size == 0 or inc.max() <= 1e-10 * E0),
+    add("energy_monotone", *_energy_monotone(result.records),
         note="linear run; E must be nonincreasing")
 
     obs_cfg = replace(config, T_end=max(5.0, kernel.tau2))

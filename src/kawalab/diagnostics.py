@@ -1,8 +1,9 @@
 """Energy functionals, decay fits, inequality checks, and the spectral test.
 
 The energy records of a run are built after its time loop, in one
-vectorised pass (`build_records`): the history functionals come from the
-run's series (`memory.trace_series`), and the loop keeps only the values
+vectorised pass (`build_records`) from one object, the run's series: t,
+||u||^2 and the five history functionals, which `memory.trace_series`
+evaluates along the history buffer's trace.  The loop keeps only the values
 that need the state at a record step (`state_scalars`).  Everything else
 operates on finished runs or drives fresh runs of the linear system;
 nothing mutates solver state.
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import model
 from .discretization import Grid, build_operator, mass_and_weighted_mass
-from .memory import TraceValues
 from .model import PhysicalParams
 from .rng import Lcg64
 
@@ -60,12 +60,12 @@ def state_scalars(u: np.ndarray, op) -> tuple:
     return E1, w0, float(h2)
 
 
-def build_records(config, series, values: TraceValues, steps: Sequence[int],
+def build_records(config, series, steps: Sequence[int],
                   scalars: Sequence[tuple]) -> list:
     """The energy records at the time steps `steps` of a run.
 
-    `series` and `values` hold the run's per-step t, ||u||^2 and history
-    functionals; `scalars` holds the `state_scalars` of each record's state.
+    `series` holds the run's per-step t, ||u||^2 and history functionals;
+    `scalars` holds the `state_scalars` of each record's state.
     w0 comes from the state, not from the series: at step 0 the series
     holds the history sample z0(0), which need not equal u0''(0).
     """
@@ -74,12 +74,12 @@ def build_records(config, series, values: TraceValues, steps: Sequence[int],
     gains = config.gains
     i = np.asarray(steps)
     E1, w0, h2 = np.array(scalars).T
-    l2, mem = series.l2[i], values.memory[i]
+    l2, mem = series.l2[i], series.memory[i]
     P = model.assemble_P(gains, config.kernel)
     absb = abs(gains.beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = l2 + absb * values.z_plain[i]
-        E2 = absb * values.z_exp[i]
+        E = l2 + absb * series.z_plain[i]
+        E2 = absb * series.z_exp[i]
         xi = E + gains.mu1 * E1 + gains.mu2 * E2
         F = gains.alpha * w0 + gains.beta * mem
         # <PV,V>, V = (w0, mem), is an upper bound of dE/dt, not equal to
@@ -270,8 +270,12 @@ def spectral_residuals(L: float, N: int, n_pairs: int = 50,
     ends and u''(L) = 0 (five conditions); eigenpairs come from a dense
     solve, and the sixth, overdetermining condition u''(0) = 0 is evaluated
     as a residual.  A minimum bounded away from zero certifies that only the
-    trivial function satisfies all six conditions at this L.
+    trivial function satisfies all six conditions at this L.  `n_pairs`
+    must be below N: taking all N eigenpairs of the N x N discretization
+    gives residuals near zero at every L.
     """
+    if n_pairs >= N:
+        raise ValueError(f"n_pairs = {n_pairs} must be less than N = {N}")
     params = PhysicalParams(a=a, b=b, L=L, p=1.0)
     grid = Grid(N, L)
     op = build_operator(params, grid)

@@ -2,10 +2,11 @@
 
 The transported variable z(t, rho, s) = w(t - rho*s) never needs separate
 storage: every functional of z reduces, by the change of variable
-sigma = rho*s, to integrals of w over [t - tau2, t].  The buffer keeps w
-samples at the solver step size; the lags tau1, tau2 need not be multiples
-of dt (endpoint cells use linear interpolation).  Gain factors beta, |beta|
-are applied by callers.
+sigma = rho*s, to integrals of w over [t - tau2, t].  `HistoryBuffer` is
+the one store of w: every sample of a run at the solver step size, from the
+initial history on, and the run's clock.  The lags tau1, tau2 need not be
+multiples of dt (endpoint cells use linear interpolation).  Gain factors
+beta, |beta| are applied by callers.
 
 The general forms of these functionals, `memory_integral`,
 `trace_sq_integral` and `z_energy`, interpolate the history at freshly built
@@ -14,8 +15,8 @@ oracle.  The solver uses set-up-once forms of them: `feedback_integrals`
 (the memory feedback at the one or two times of a step, bit-identical to
 `memory_integral`, because the trajectory amplifies a single rounding
 change) and `trace_series` (the observation functionals behind the energy,
-the Lyapunov functional and the boundary flux, as fixed weights run along a
-whole stored trace after a run, which gives them at every step).
+the Lyapunov functional and the boundary flux, as fixed weights run along
+the buffer's whole trace after a run, which gives them at every step).
 """
 
 from __future__ import annotations
@@ -29,54 +30,69 @@ from .model import MemoryKernel
 
 
 class HistoryBuffer:
-    """Samples of w at spacing dt covering at least [t_now - tau2, t_now].
+    """The boundary trace w at spacing dt, and the clock t_now of its newest
+    sample.
 
-    The samples live in a preallocated array of `maxlen` slots, newest last;
-    `push` shifts them in place.  Single-writer: the time loop pushes once
-    per completed step.
+    `trace` is every sample since the initial history, oldest first; `w`
+    and `times()` are its last `maxlen` samples, which cover at least
+    [t_now - tau2, t_now].  `push` appends a sample and never moves a stored
+    one.  The array has room for `steps` pushes and grows geometrically
+    beyond them.  Single-writer: the time loop pushes once per completed
+    step.
     """
 
-    def __init__(self, dt: float, tau2: float, samples: np.ndarray, t_now: float = 0.0):
+    def __init__(self, dt: float, tau2: float, samples: np.ndarray,
+                 t_now: float = 0.0, steps: int = 0):
         self.dt = dt
         self.tau2 = tau2
         self.maxlen = math.ceil(tau2 / dt) + 3
-        samples = np.asarray(samples, dtype=float)[-self.maxlen:]
-        self._data = np.zeros(self.maxlen)
+        samples = np.asarray(samples, dtype=float)
         self._n = len(samples)
-        self._data[self.maxlen - self._n:] = samples
-        # lag dt*k of each slot, oldest slot first: times() = t_now - lags
+        self._data = np.empty(self._n + steps)
+        self._data[:self._n] = samples
+        # lag dt*k of each of the last maxlen samples, oldest first:
+        # times() = t_now - lags
         self._lags = dt * np.arange(self.maxlen - 1, -1, -1)
         self.t_now = t_now
         if self.span < tau2:
             raise ValueError("initial history does not span tau2")
 
     @classmethod
-    def from_initial(cls, z0, dt: float, tau2: float) -> "HistoryBuffer":
-        """Sample the initial history z0(t), t in (-tau2, 0], once at setup."""
+    def from_initial(cls, z0, dt: float, tau2: float,
+                     steps: int = 0) -> "HistoryBuffer":
+        """Sample the initial history z0(t), t in (-tau2, 0], once at setup,
+        with room for `steps` pushes."""
         k = math.ceil(tau2 / dt) + 2
         times = -dt * np.arange(k, -1, -1)
-        return cls(dt, tau2, np.array([float(z0(t)) for t in times]), t_now=0.0)
+        samples = np.array([float(z0(t)) for t in times])
+        return cls(dt, tau2, samples, 0.0, steps)
+
+    @property
+    def trace(self) -> np.ndarray:
+        """Every stored sample, oldest first; trace[-1] is w(t_now).  A view."""
+        return self._data[:self._n]
 
     @property
     def w(self) -> np.ndarray:
-        """The stored samples, oldest first; w[-1] is w(t_now).  A view."""
-        return self._data[self.maxlen - self._n:]
+        """The last `maxlen` samples, oldest first.  A view."""
+        return self._data[max(self._n - self.maxlen, 0):self._n]
 
     @property
     def span(self) -> float:
-        return (self._n - 1) * self.dt
+        return (min(self._n, self.maxlen) - 1) * self.dt
 
     def times(self) -> np.ndarray:
-        return self.t_now - self._lags[self.maxlen - self._n:]
+        return self.t_now - self._lags[self.maxlen - min(self._n, self.maxlen):]
 
     def push(self, w_new: float) -> None:
-        d = self._data
-        if self._n < self.maxlen:
-            self._n += 1
-        lo = self.maxlen - self._n
-        d[lo:-1] = d[lo + 1:]
-        d[-1] = w_new
+        if self._n == len(self._data):
+            grown = np.empty(2 * self._n)
+            grown[:self._n] = self._data
+            self._data = grown
+        self._data[self._n] = w_new
+        self._n += 1
         self.t_now += self.dt
+
 
 def _lag_grid(dt: float, lo: float, hi: float, off: float):
     """Lag nodes on [lo, hi] aligned with the sample times, endpoints included,
@@ -96,8 +112,8 @@ class LagQuadrature:
 
     The lag nodes depend on the time only through that offset, which takes a
     handful of distinct values in a run (t_eval is t_now or t_now + dt, and
-    the two clocks drift apart by rounding); for each tuple a `LagNodes` is
-    kept.
+    (t_now + dt) - t_now rounds to a few values); for each tuple a `LagNodes`
+    is kept.
     """
 
     _MAX_OFFSETS = 256  # a bound on the cache, far above what a run visits

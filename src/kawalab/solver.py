@@ -17,11 +17,12 @@ narrow row blocks, `_rhs_layout`), the memory feedback of the oracle
 `memory_integral` in `tests/conftest.py` (evaluated by
 `memory.feedback_integrals`), the D1 products and the band solve.  A single
 rounding change early in a run moves the final energy by up to ~1e-5
-relative.  The time loop advances the state and stores t, the trace and
-||u||^2 per step, and at a record step the few record values that need the
-state; the history functionals are computed from the stored trace after the
-run (`memory.trace_series`), and the energy records from those series
-(`diagnostics.build_records`).
+relative.  The history buffer is the run's one store of the boundary trace
+and its one clock: `SimState.t_now` reads the buffer's.  The time loop
+advances the state and stores t and ||u||^2 per step, and at a record step
+the few record values that need the state; the history functionals are
+computed from the buffer's trace after the run (`memory.trace_series`), and
+the energy records from the series (`diagnostics.build_records`).
 
 The nonlinearity uses the split u^p u_x ~ (D1(g) + |u|^p (D1 u)) / (p+2)
 with g = |u|^p u, which is consistent for all p in [1, 2] and makes
@@ -131,9 +132,13 @@ class SimConfig:
 class SimState:
     u: np.ndarray
     history: HistoryBuffer
-    t_now: float
     step_index: int
     prev_nl: Optional[np.ndarray] = None  # N(u) at the previous level, for AB2
+
+    @property
+    def t_now(self) -> float:
+        """The time of the history's newest sample, the run's one clock."""
+        return self.history.t_now
 
 
 def _pow_p(u: np.ndarray, p: float) -> np.ndarray:
@@ -336,8 +341,8 @@ class Stepper:
             return (dg + up * du) / (p + 2.0)
 
     def step(self, state: SimState) -> SimState:
-        """Advance one step.  The history buffer is advanced in place: the
-        returned state shares it with `state`."""
+        """Advance one step.  The history buffer, and with it the clock, is
+        advanced in place: the returned state shares it with `state`."""
         cfg = self.config
         dt = cfg.dt
         u = state.u
@@ -377,14 +382,15 @@ class Stepper:
             raise SolverAbort("non-finite state", state.step_index + 1, t + dt)
 
         buf.push(self.op.trace_uxx0(u_new))
-        return SimState(u=u_new, history=buf, t_now=t + dt,
-                        step_index=state.step_index + 1, prev_nl=nl)
+        return SimState(u=u_new, history=buf, step_index=state.step_index + 1,
+                        prev_nl=nl)
 
     def initial_state(self) -> SimState:
         u0 = np.asarray(self.config.u0(self.grid.x), dtype=float)
         buf = HistoryBuffer.from_initial(self.config.z0, self.config.dt,
-                                         self.config.kernel.tau2)
-        return SimState(u=u0, history=buf, t_now=0.0, step_index=0)
+                                         self.config.kernel.tau2,
+                                         self.config.n_steps)
+        return SimState(u=u0, history=buf, step_index=0)
 
 
 @dataclass
@@ -395,9 +401,11 @@ class TimeSeries:
     w: np.ndarray          # u_xx(t, 0)
     F: np.ndarray          # feedback value
     l2: np.ndarray         # ||u||^2
+    memory: np.ndarray     # int lam(s) z(t,1,s) ds
     lam_z1sq: np.ndarray   # int lam(s) z(t,1,s)^2 ds
     slam_z1sq: np.ndarray  # int s lam(s) z(t,1,s)^2 ds
     z_plain: np.ndarray    # int lam(s) int_0^s z(t,1,sigma)^2 dsigma ds
+    z_exp: np.ndarray      # the same with the weight exp(-delta sigma)
 
 
 @dataclass
@@ -412,11 +420,11 @@ class RunResult:
 def run(config: SimConfig) -> RunResult:
     """Advance to T_end, recording diagnostics every record_every steps.
 
-    The loop stores t, the trace w and ||u||^2 of every step, and the
-    `diagnostics.state_scalars` of every record step; the history
-    functionals of the series and the records come from those after the
-    loop.  Deterministic: identical configs produce bitwise-identical
-    trajectories.
+    The loop stores t and ||u||^2 of every step, and the
+    `diagnostics.state_scalars` of every record step; the history buffer
+    keeps the trace w.  The history functionals of the series and the
+    records come from those after the loop.  Deterministic: identical
+    configs produce bitwise-identical trajectories.
     """
     from . import diagnostics  # local import: diagnostics also drives runs
 
@@ -427,10 +435,6 @@ def run(config: SimConfig) -> RunResult:
 
     t = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
-    # the initial history, then w(t_k) at index n0 - 1 + k
-    n0 = len(state.history.w)
-    trace = np.empty(n0 + n_steps)
-    trace[:n0] = state.history.w
     rec_steps, rec_scalars = [], []     # each record's step and state_scalars
 
     t[0] = state.t_now
@@ -451,7 +455,6 @@ def run(config: SimConfig) -> RunResult:
                 e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
             raise
         t[k] = state.t_now
-        trace[n0 - 1 + k] = state.history.w[-1]
         with np.errstate(over="ignore"):
             l2[k] = h * (state.u ** 2).sum()
         if config.record_every > 0 and (
@@ -459,15 +462,18 @@ def run(config: SimConfig) -> RunResult:
             rec_steps.append(k)
             rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
 
-    w = trace[n0 - 1:]
-    tv = trace_series(trace[n0 - 1 - st.trace_weights.K:], st.trace_weights)
+    # the initial history, then w(t_k) at index i0 + k
+    trace = state.history.trace
+    i0 = len(trace) - 1 - n_steps
+    w = trace[i0:]
+    tv = trace_series(trace[i0 - st.trace_weights.K:], st.trace_weights)
     with np.errstate(over="ignore", invalid="ignore"):
         F = config.gains.alpha * w + config.gains.beta * tv.memory
-    series = TimeSeries(t=t, w=w, F=F, l2=l2, lam_z1sq=tv.lam_sq,
-                        slam_z1sq=tv.slam_sq, z_plain=tv.z_plain)
-    records = diagnostics.build_records(config, series, tv, rec_steps,
-                                        rec_scalars)
-    h0 = l2[0] + abs(config.gains.beta) * tv.z_plain[0]
+    series = TimeSeries(t=t, w=w, F=F, l2=l2, memory=tv.memory,
+                        lam_z1sq=tv.lam_sq, slam_z1sq=tv.slam_sq,
+                        z_plain=tv.z_plain, z_exp=tv.z_exp)
+    records = diagnostics.build_records(config, series, rec_steps, rec_scalars)
+    h0 = l2[0] + abs(config.gains.beta) * series.z_plain[0]
     mms_err = None
     if st.mms_exact is not None:
         exact = st.mms_exact(st.grid.x, state.t_now)

@@ -196,6 +196,69 @@ def test_exit_1_beyond_resource_limits(tmp_path, capsys, section, patch, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch, fields", [
+    ({"numerics": {"foo": 1}}, ["numerics.foo"]),
+    ({"numerics": {"startup": 3}}, ["numerics.startup", "numerics.startup_steps"]),
+    ({"gains": {"Alpha": 0.5}}, ["gains.Alpha"]),
+    ({"kernel": {"params": {"c": 1.0, "samples": [[1.0, 1.0]]}}},
+     ["kernel.params.samples"]),
+    ({"initial": {"u0": {"mode": 1, "h_norm_r_max_fraction": 0.5}}},
+     ["initial.u0.mode", "initial.u0.h_norm_r_max_fraction", "initial.u0.type"]),
+    ({"initial": {"u0": {"type": "sine", "amplitude": 0.1,
+                         "h_norm_r_max_fraction": 0.5}}},
+     ["initial.u0.amplitude", "initial.u0.h_norm_r_max_fraction"]),
+])
+def test_exit_1_unused_field_named(tmp_path, capsys, patch, fields):
+    """A key that the parser never reads, or that another key overrides, is
+    a config error that names it (and the keys left out beside it), not a
+    silently ignored setting."""
+    doc = doc_with(**patch)
+    rc = main(["run", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert all(f"'{f}'" in err for f in fields), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch, axis", [
+    ({"numerics": {"foo": 1}}, "numerics.foo"),
+    ({"initial": {"u0": {"type": "sine", "amplitude": 0.1,
+                         "h_norm_r_max_fraction": 0.5}}},
+     "initial.u0.amplitude"),
+])
+def test_sweep_over_unused_field_is_config_error(tmp_path, capsys, patch,
+                                                 axis):
+    """Such a sweep gave identical rows; now no run starts."""
+    doc = doc_with(**patch)
+    doc["numerics"]["T_end"] = 0.5
+    rc = main(["sweep", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out"), "--axis", axis,
+               "--values", "1,2", "--workers", "1"])
+    assert rc == 1
+    assert f"'{axis}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_field_of_the_shipped_configs_is_read(tmp_path):
+    """configs/*.json, and the same with a seeded sinusoid history and a
+    sine profile given by its amplitude, parse with every key read; `check`
+    reads only model, gains and kernel, so it ignores the rest."""
+    configs = os.path.join(os.path.dirname(__file__), "..", "configs")
+    for name in sorted(os.listdir(configs)):
+        doc = load_config(os.path.join(configs, name))
+        build_sim_config(doc)
+        doc["initial"]["z0"] = {"type": "sinusoid", "amplitude": 0.1,
+                                "omega": 2.0, "phase": 0.3}
+        build_sim_config(doc)
+        doc["initial"]["u0"] = {"type": "sine", "mode": 2, "amplitude": 0.3}
+        build_sim_config(doc)
+        del doc["numerics"]
+        doc["extra"] = {"note": "unread"}
+        assert main(["check", "--config", write_doc(tmp_path, doc),
+                     "--out", str(tmp_path / "check")]) == 0
+
+
 def test_sim_config_rejects_non_finite():
     for field in ("T_end", "dt"):
         with pytest.raises(ValueError, match=f"{field} must be finite"):

@@ -162,17 +162,43 @@ def test_spectral_lemma_curve():
     assert all(v > 0.0 for v in out.values())
 
 
-def test_spectral_scan_script_smoke():
-    """scripts/spectral_scan.py at a small N: one CSV row per L in 0.5..10."""
+def _spectral_scan(*args):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(repo, "scripts", "spectral_scan.py"), "30"],
+    return subprocess.run(
+        [sys.executable, os.path.join(repo, "scripts", "spectral_scan.py"), *args],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_spectral_scan_script_smoke():
+    """scripts/spectral_scan.py at a small N: one CSV row per L in 0.5..10,
+    with the residual of a non-critical length well away from zero."""
+    proc = _spectral_scan("60")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "L,min_residual,candidate"
     assert len(lines) == 97
+    L, residual, _ = lines[1].split(",")
+    assert L == "0.5" and float(residual) > 100.0
+
+
+@pytest.mark.parametrize("arg", ["30", "50", "sixty", "60.5"])
+def test_spectral_scan_script_rejects_bad_n(arg):
+    """N must be an integer above the 50 eigenpairs scanned: exit 2 with a
+    usage line, no traceback."""
+    proc = _spectral_scan(arg)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and proc.stderr.startswith("usage:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_spectral_residuals_needs_fewer_pairs_than_n():
+    """All N eigenpairs of the N x N discretization give near-zero residuals
+    (2.3e-10 at L = 0.5, N = 30, against 607 from the lowest 29)."""
+    assert spectral_residuals(0.5, 30, n_pairs=29).min() > 100.0
+    for n_pairs in (30, 31):
+        with pytest.raises(ValueError, match=f"n_pairs = {n_pairs}.*N = 30"):
+            spectral_residuals(0.5, 30, n_pairs=n_pairs)
 
 
 def test_spectral_threshold_stabilized():

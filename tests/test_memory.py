@@ -275,10 +275,35 @@ def test_trace_series_matches_weighted_trace(form, tau1, tau2):
         trace_series(w[:weights.K], weights)
 
 
-def test_push_reuses_storage():
-    buf = const_buffer(0.0, dt=0.1)
-    storage = buf.w.base
+def test_trace_keeps_every_sample():
+    """`trace` is the initial samples followed by every pushed value; `w` is
+    its last maxlen samples, or the whole trace while it is shorter."""
+    init = np.linspace(-1.0, 0.0, 12)
+    buf = HistoryBuffer(0.1, 1.0, init, 0.0)
+    assert buf.maxlen == 13
+    pushed = []
+    for k in range(40):
+        assert (buf.trace == np.concatenate((init, pushed))).all(), k
+        assert (buf.w == buf.trace[-buf.maxlen:]).all(), k
+        buf.push(float(k))
+        pushed.append(float(k))
+
+
+def test_from_initial_reserves_room_for_its_steps():
+    """A buffer with room for n steps stores n pushes in place."""
+    buf = HistoryBuffer.from_initial(math.sin, 0.1, 2.0, steps=50)
+    base = buf.trace.base
     for k in range(50):
         buf.push(float(k))
-    assert buf.w.base is storage
-    assert buf.w[-1] == 49.0 and buf.w[-2] == 48.0
+        assert buf.trace.base is base, k
+    assert buf.trace[-1] == 49.0 and buf.w[-2] == 48.0
+
+
+def test_push_past_reserved_room_keeps_every_sample():
+    buf = HistoryBuffer.from_initial(math.sin, 0.1, 2.0, steps=3)
+    init = buf.trace.copy()
+    values = np.arange(100.0)
+    for x in values:
+        buf.push(x)
+    assert (buf.trace == np.concatenate((init, values))).all()
+    assert (buf.w == values[-buf.maxlen:]).all()

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,8 +16,10 @@ from scipy.linalg.lapack import dgbtrf
 from conftest import (copy_history, dense_d1, dense_operator_oracle,
                       memory_integral, reference_sim_config, weighted_trace)
 from kawalab.discretization import BANDWIDTH
+from kawalab.memory import HistoryBuffer
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
-from kawalab.solver import SimConfig, SolverAbort, Stepper, _build_mms, run
+from kawalab.solver import (SimConfig, SimState, SolverAbort, Stepper,
+                            _build_mms, run)
 
 
 def test_dt_exceeding_tau1_rejected():
@@ -131,6 +133,20 @@ def test_solver_abort_on_blowup():
         [p for p in l2 if math.isfinite(p[1])][-1]
     # the state doubles its exponent per step: ||u||^2 overflows before u
     assert e.last_finite_t < e.t - cfg.dt
+
+
+def test_one_store_and_one_clock():
+    """The state's clock is the history buffer's, and the run's series reads
+    the buffer's trace, which holds every step: no copy of either."""
+    assert "t_now" not in {f.name for f in fields(SimState)}
+    cfg = reference_sim_config(N=32, T_end=0.5, z0=lambda t: math.cos(t))
+    result = run(cfg)
+    buf = result.final.history
+    assert result.final.t_now == buf.t_now == result.series.t[-1]
+    assert np.shares_memory(result.series.w, buf.trace)
+    assert len(buf.trace) == len(HistoryBuffer.from_initial(
+        cfg.z0, cfg.dt, cfg.kernel.tau2).trace) + cfg.n_steps
+    assert (result.series.w == buf.trace[-cfg.n_steps - 1:]).all()
 
 
 def test_stability_at_dt_equal_h():
