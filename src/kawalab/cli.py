@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,77 +42,98 @@ class UnusedFieldError(ConfigError):
 # row-block right-hand side is checked to equal the dense product bit for bit.
 MAX_N = 8192
 MAX_SAMPLES = 10 ** 7   # time steps T_end/dt, and history samples tau2/dt
-# the fields that `build_sim_config` reads as integers
-INT_FIELDS = ("seed", "numerics.N", "numerics.record_every",
-              "numerics.startup_steps")
-# the numeric fields that `build_model`/`build_sim_config` read with a
-# default: a sweep may set them where the config leaves them out
-DEFAULTED_FIELDS = ("seed", "gains.delta", "kernel.params.c",
-                    "kernel.params.sigma", "numerics.record_every",
-                    "numerics.startup_steps")
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config fields and parsing
 
 
-class _Tracked(dict):
-    """A config object that records the keys the parser looks up in it.
-
-    A lookup (`[]` or `get`) of an object-valued key returns that object
-    tracked too, so `unread()` finds, in the whole document, the keys that
-    the parser never read.  A membership test (`in`) reads nothing, but it
-    and `get` record the keys asked for that the object leaves out.
-    """
-
-    def __init__(self, data: dict, path: str = ""):
-        super().__init__(data)
-        self._path = path
-        self._read = {}     # key -> its tracked object, or None for a leaf
-        self._absent = {}   # keys asked for and left out, in asking order
-
-    def __getitem__(self, key):
-        value = super().__getitem__(key)
-        if key not in self._read:
-            self._read[key] = (_Tracked(value, f"{self._path}{key}.")
-                               if isinstance(value, dict) else None)
-        child = self._read[key]
-        return value if child is None else child
-
-    def __contains__(self, key):
-        found = super().__contains__(key)
-        if not found:
-            self._absent[key] = None
-        return found
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-    def unread(self) -> tuple:
-        """(the keys never read, the keys left out of the objects that hold
-        them), as dotted paths.  A left-out key, at its default, may be what
-        makes its neighbours moot (an omitted `type`), or the name that a
-        misspelt key meant."""
-        unread = [self._path + key for key in self if key not in self._read]
-        absent = [self._path + key for key in self._absent] if unread else []
-        for child in self._read.values():
-            if child is not None:
-                more, left_out = child.unread()
-                unread += more
-                absent += left_out
-        return unread, absent
+# the types of a field's value, as the messages and the README word them
+NUMBER, INTEGER, BOOLEAN = "a number", "an integer", "a boolean"
+NUMBERS, PAIRS = "a list of numbers", "a list of [number, number] pairs"
+NUMBER_OR_NULL, REQUIRED = "a number or null", object()
 
 
-def _section(doc: dict, name: str, required=True, parent="") -> dict:
-    path = f"{parent}.{name}" if parent else name
-    sec = doc.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"missing section '{path}'")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"section '{path}' must be an object")
-    return sec
+class Field(NamedTuple):
+    """A config field: its dotted path, whose last key names the parameter
+    it sets; its type, or the names a selector takes; its default, or
+    REQUIRED; `when` it applies: always (""), or "selector=a|b" where that
+    selector row, above this one, reads a or b; and `check`, (words, test):
+    test(value, fields read so far) must hold, as the words say."""
+
+    path: str
+    type: object = NUMBER
+    default: object = REQUIRED
+    when: str = ""
+    check: tuple = ("", lambda v, f: True)
+
+
+POSITIVE = ("positive", lambda v, f: v > 0)
+NONNEGATIVE = ("nonnegative", lambda v, f: v >= 0)
+NONZERO = ("nonzero", lambda v, f: v != 0)
+# model.L keeps the operator's (L / (N + 1)) ** -5 finite for every N, and
+# kernel.params.sigma keeps exp(-sigma s) on (tau1, tau2) within range
+FIELDS = (
+    Field("model.a", check=POSITIVE),
+    Field("model.b", check=POSITIVE),
+    Field("model.L", check=("in [1e-50, 1e50]",
+                            lambda v, f: 1e-50 <= v <= 1e50)),
+    Field("model.p", check=("in [1, 2]", lambda v, f: 1 <= v <= 2)),
+    Field("gains.alpha", check=NONZERO),
+    Field("gains.beta", check=NONZERO),
+    Field("gains.mu1", check=NONNEGATIVE),
+    Field("gains.mu2", check=NONNEGATIVE),
+    Field("gains.delta", default=1.0, check=POSITIVE),
+    Field("kernel.form", ("constant", "exponential", "tabulated"), "constant"),
+    Field("kernel.tau1", check=POSITIVE),
+    Field("kernel.tau2", check=("greater than kernel.tau1",
+                                lambda v, f: v > f["kernel.tau1"])),
+    Field("kernel.params.c", NUMBER, 1.0, "kernel.form=constant|exponential",
+          POSITIVE),
+    Field("kernel.params.sigma", NUMBER, 1.0, "kernel.form=exponential",
+          ("at least -700 / kernel.tau2",
+           lambda v, f: v * f["kernel.tau2"] >= -700)),
+    Field("kernel.params.samples", PAIRS, REQUIRED, "kernel.form=tabulated",
+          ("two or more pairs [s, value], s increasing and value positive",
+           lambda x, f: len(x) > 1 and min(v for _, v in x) > 0
+           and all(a[0] < b[0] for a, b in zip(x, x[1:])))),
+    # the ghost closure needs N >= 12 (discretization.Grid)
+    Field("numerics.N", INTEGER, check=(f"in [12, {MAX_N}]",
+                                        lambda v, f: 12 <= v <= MAX_N)),
+    Field("numerics.dt", check=(
+        f"positive, at most kernel.tau1, at least kernel.tau2 / {MAX_SAMPLES}",
+        lambda v, f: 0 < v <= f["kernel.tau1"]
+        and f["kernel.tau2"] / v <= MAX_SAMPLES)),
+    # n_steps = ceil(T_end / dt - 1e-12) time steps (solver.SimConfig)
+    Field("numerics.T_end", check=(
+        f"over 1e-12 and at most {MAX_SAMPLES} times numerics.dt",
+        lambda v, f: 1e-12 < v / f["numerics.dt"] <= MAX_SAMPLES)),
+    Field("numerics.record_every", INTEGER, 10, check=NONNEGATIVE),
+    Field("numerics.linear_only", BOOLEAN, False),
+    Field("numerics.startup_steps", INTEGER, 2, check=NONNEGATIVE),
+    Field("initial.u0.type", ("zero", "sine", "bump", "random"), "zero"),
+    Field("initial.u0.mode", INTEGER, 1, "initial.u0.type=sine",
+          ("at least 1", lambda v, f: v >= 1)),
+    # a sine profile takes one of the next two
+    Field("initial.u0.amplitude", NUMBER, None, "initial.u0.type=sine"),
+    Field("initial.u0.h_norm_r_max_fraction", NUMBER, None,
+          "initial.u0.type=sine"),
+    Field("initial.u0.amplitude", when="initial.u0.type=bump"),
+    Field("initial.z0.type",
+          ("zero", "constant", "sinusoid", "tabulated", "random"), "zero"),
+    Field("initial.z0.value", when="initial.z0.type=constant"),
+    Field("initial.z0.amplitude", when="initial.z0.type=sinusoid"),
+    Field("initial.z0.omega", when="initial.z0.type=sinusoid"),
+    Field("initial.z0.phase", NUMBER, 0.0, "initial.z0.type=sinusoid"),
+    Field("initial.z0.times", NUMBERS, REQUIRED, "initial.z0.type=tabulated",
+          ("nonempty and increasing",
+           lambda x, f: len(x) > 0 and all(a < b for a, b in zip(x, x[1:])))),
+    Field("initial.z0.values", NUMBERS, REQUIRED, "initial.z0.type=tabulated",
+          ("as long as initial.z0.times",
+           lambda x, f: len(x) == len(f["initial.z0.times"]))),
+    Field("seed", INTEGER, 0),
+    Field("mms_amplitude", NUMBER_OR_NULL, None),
+)
 
 
 def _float(v, name: str) -> float:
@@ -124,19 +146,84 @@ def _float(v, name: str) -> float:
     return float(v)
 
 
-def _num(sec: dict, path: str, key: str, default=None):
-    if key not in sec:
-        if default is None:
-            raise ConfigError(f"missing field '{path}.{key}'")
-        return default
-    return _float(sec[key], f"{path}.{key}")
+def _value(row: Field, v, f: dict):
+    """The document's value `v` of `row`, checked against its type and test."""
+    kind, path = row.type, row.path
+    if isinstance(kind, tuple):
+        if v in kind:
+            return v
+        kind = "one of " + ", ".join(kind)
+    elif kind == BOOLEAN and isinstance(v, bool) or (
+            kind == NUMBER_OR_NULL and v is None):
+        return v
+    if kind in (NUMBER, NUMBER_OR_NULL, INTEGER):
+        x = _float(v, path)
+        if kind == INTEGER:
+            if not x.is_integer():
+                raise ConfigError(f"field '{path}' must be {kind}, got {v!r}")
+            x = int(v)
+    elif kind == NUMBERS and isinstance(v, list):
+        x = tuple(_float(y, path) for y in v)
+    elif kind == PAIRS and isinstance(v, list) and all(
+            isinstance(p, list) and len(p) == 2 for p in v):
+        x = tuple((_float(s, path), _float(y, path)) for s, y in v)
+    else:
+        raise ConfigError(f"field '{path}' must be {kind}, got {v!r}")
+    words, test = row.check
+    if not test(x, f):
+        raise ConfigError(f"field '{path}' must be {words}, got {v!r}")
+    return x
 
 
-def _int(v, name: str, lo=-math.inf, hi=math.inf) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
-        raise ConfigError(f"field '{name}' must be an integer in [{lo}, {hi}],"
-                          f" got {v!r}")
-    return v
+def _unread(node: dict, named: set, prefix=()):
+    for key, value in node.items():
+        if prefix + (key,) not in named:
+            yield ".".join(prefix + (key,))
+        elif isinstance(value, dict):
+            yield from _unread(value, named, prefix + (key,))
+
+
+def _read(doc: dict, sections=None) -> dict:
+    """{path: value} for the rows of FIELDS that apply to `doc`, within its
+    top-level keys `sections` (default: all).  A key of `doc` there that no
+    applying row names is an UnusedFieldError, whose message also lists the
+    applying rows left out: a default may be what makes the key moot."""
+    f, named, left_out = {}, set(), []
+    for row in FIELDS:
+        keys = row.path.split(".")
+        selector, _, names = row.when.partition("=")
+        if (sections is not None and keys[0] not in sections
+                or names and f[selector] not in names.split("|")):
+            continue
+        named.update(tuple(keys[:i]) for i in range(1, len(keys) + 1))
+        node = doc
+        for i, key in enumerate(keys[:-1], 1):
+            node = node.get(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"section '{'.'.join(keys[:i])}' must be "
+                                  f"an object, got {node!r}")
+        if keys[-1] in node:
+            f[row.path] = _value(row, node[keys[-1]], f)
+        elif row.default is REQUIRED:
+            raise ConfigError(f"missing field '{row.path}'")
+        else:
+            f[row.path] = row.default
+            left_out.append(row.path)
+    unread = list(_unread({key: value for key, value in doc.items()
+                           if sections is None or key in sections}, named))
+    if unread:
+        quote = lambda names: ", ".join(f"'{name}'" for name in names)
+        raise UnusedFieldError(
+            f"field(s) not read by this config: {quote(unread)}"
+            + (f" (left out beside them: {quote(left_out)})" if left_out
+               else ""))
+    return f
+
+
+def _kwargs(f: dict, section: str) -> dict:
+    """The fields read under `section`, by their last keys."""
+    return {path.rpartition(".")[2]: value for path, value in f.items()
+            if path.startswith(section + ".")}
 
 
 def load_config(path: str) -> dict:
@@ -155,148 +242,66 @@ def load_config(path: str) -> dict:
     return doc
 
 
+def _model(f: dict):
+    return (PhysicalParams(**_kwargs(f, "model")),
+            FeedbackGains(**_kwargs(f, "gains")),
+            MemoryKernel(**_kwargs(f, "kernel")))
+
+
 def build_model(doc: dict):
     """(params, gains, kernel) from the model/gains/kernel sections."""
-    m = _section(doc, "model")
-    g = _section(doc, "gains")
-    k = _section(doc, "kernel")
-    try:
-        params = PhysicalParams(a=_num(m, "model", "a"), b=_num(m, "model", "b"),
-                                L=_num(m, "model", "L"), p=_num(m, "model", "p"))
-        gains = FeedbackGains(alpha=_num(g, "gains", "alpha"),
-                              beta=_num(g, "gains", "beta"),
-                              mu1=_num(g, "gains", "mu1"),
-                              mu2=_num(g, "gains", "mu2"),
-                              delta=_num(g, "gains", "delta", 1.0))
-        form = k.get("form", "constant")
-        if form not in ("constant", "exponential", "tabulated"):
-            raise ConfigError(f"kernel.form must be constant|exponential|tabulated,"
-                              f" got {form!r}")
-        kp = k.get("params", {})
-        if not isinstance(kp, dict):
-            raise ConfigError("kernel.params must be an object")
-        samples = ()
-        if form == "tabulated":
-            raw = kp.get("samples")
-            name = "kernel.params.samples"
-            if not raw:
-                raise ConfigError(f"{name} required for tabulated")
-            if not (isinstance(raw, list) and all(
-                    isinstance(p, list) and len(p) == 2 for p in raw)):
-                raise ConfigError(f"field '{name}' must be a list of [s, value]"
-                                  f" pairs, got {raw!r}")
-            samples = tuple((_float(s, name), _float(v, name)) for s, v in raw)
-        kernel = MemoryKernel(tau1=_num(k, "kernel", "tau1"),
-                              tau2=_num(k, "kernel", "tau2"),
-                              form=form,
-                              c=_num(kp, "kernel.params", "c", 1.0),
-                              sigma=_num(kp, "kernel.params", "sigma",
-                                         1.0 if form == "exponential" else 0.0),
-                              samples=samples)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from e
-    return params, gains, kernel
+    return _model(_read(doc, ("model", "gains", "kernel")))
 
 
-def _build_u0(spec: dict, params: PhysicalParams, seed: int):
-    kind = spec.get("type", "zero")
-    L = params.L
+def _build_u0(f: dict, params: PhysicalParams):
+    kind, L = f["initial.u0.type"], params.L
     if kind == "zero":
         return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if kind == "sine":
-        mode = _num(spec, "initial.u0", "mode", 1)
-        if mode < 1 or mode != int(mode):
-            raise ConfigError("initial.u0.mode must be an integer >= 1")
-        mode = int(mode)
-        if "amplitude" in spec and "h_norm_r_max_fraction" in spec:
+        mode, amp, frac = (f["initial.u0." + key] for key in
+                           ("mode", "amplitude", "h_norm_r_max_fraction"))
+        if amp is not None and frac is not None:
             raise UnusedFieldError("give one of 'initial.u0.amplitude' and "
                                    "'initial.u0.h_norm_r_max_fraction', not both")
-        if "amplitude" in spec:
-            amp = _num(spec, "initial.u0", "amplitude")
-        else:
+        if amp is None:
+            if frac is None:
+                raise ConfigError("missing field 'initial.u0.amplitude' or "
+                                  "'initial.u0.h_norm_r_max_fraction'")
             # ||A sin(m pi x/L)||_{L^2} = A sqrt(L/2); scale so the H norm
             # (z0 must be zero for this to be exact) hits frac * r_max
-            frac = _num(spec, "initial.u0", "h_norm_r_max_fraction")
             amp = frac * r_max(params) / math.sqrt(L / 2.0)
         return lambda x: amp * np.sin(mode * math.pi * np.asarray(x) / L)
     if kind == "bump":
-        amp = _num(spec, "initial.u0", "amplitude")
+        amp = f["initial.u0.amplitude"]
         return lambda x: amp * np.asarray(x) ** 2 * (L - np.asarray(x)) ** 2
-    if kind == "random":
-        u0, _ = diagnostics.random_initial_data(seed, L)
-        return u0
-    raise ConfigError(f"unknown initial.u0.type {kind!r}")
+    return diagnostics.random_initial_data(f["seed"], L)[0]
 
 
-def _build_z0(spec: dict, seed: int):
-    kind = spec.get("type", "zero")
+def _build_z0(f: dict):
+    kind = f["initial.z0.type"]
     if kind == "zero":
         return lambda t: 0.0
     if kind == "constant":
-        c = _num(spec, "initial.z0", "value")
+        c = f["initial.z0.value"]
         return lambda t: c
     if kind == "sinusoid":
-        A = _num(spec, "initial.z0", "amplitude")
-        om = _num(spec, "initial.z0", "omega")
-        ph = _num(spec, "initial.z0", "phase", 0.0)
+        A, om, ph = (f["initial.z0." + key] for key in
+                     ("amplitude", "omega", "phase"))
         return lambda t: A * math.sin(om * t + ph)
     if kind == "tabulated":
-        ts, vs = (spec.get(key) for key in ("times", "values"))
-        if (not isinstance(ts, list) or not isinstance(vs, list) or not ts
-                or len(ts) != len(vs)):
-            raise ConfigError("initial.z0 tabulated needs matching times/values")
-        ts = np.array([_float(t, "initial.z0.times") for t in ts])
-        vs = np.array([_float(v, "initial.z0.values") for v in vs])
-        if np.any(np.diff(ts) <= 0.0):
-            raise ConfigError("field 'initial.z0.times' must be increasing")
+        ts, vs = (np.array(f["initial.z0." + key]) for key in
+                  ("times", "values"))
         return lambda t: float(np.interp(t, ts, vs))
-    if kind == "random":
-        _, z0 = diagnostics.random_initial_data(seed, 1.0)
-        return z0
-    raise ConfigError(f"unknown initial.z0.type {kind!r}")
+    return diagnostics.random_initial_data(f["seed"], 1.0)[1]
 
 
 def build_sim_config(doc: dict) -> SimConfig:
     """The run's config; a key of `doc` that it never reads is an error."""
-    doc = _Tracked(doc)
-    params, gains, kernel = build_model(doc)
-    n = _section(doc, "numerics")
-    init = _section(doc, "initial", required=False)
-    seed = _int(doc.get("seed", 0), "seed")
-    # the ghost closure needs N >= 12 (discretization.Grid)
-    N = _int(n.get("N"), "numerics.N", 12, MAX_N)
-    record_every = _int(n.get("record_every", 10), "numerics.record_every", 0)
-    linear_only = n.get("linear_only", False)
-    if not isinstance(linear_only, bool):
-        raise ConfigError("numerics.linear_only must be a boolean")
-    startup = _int(n.get("startup_steps", 2), "numerics.startup_steps", 0)
-    mms = doc.get("mms_amplitude")
-    mms = None if mms is None else _float(mms, "mms_amplitude")
-    u0 = _build_u0(_section(init, "u0", False, "initial"), params, seed)
-    z0 = _build_z0(_section(init, "z0", False, "initial"), seed)
-    dt, T_end = _num(n, "numerics", "dt"), _num(n, "numerics", "T_end")
-    try:
-        config = SimConfig(params=params, gains=gains, kernel=kernel, N=N,
-                           dt=dt, T_end=T_end, u0=u0, z0=z0,
-                           record_every=record_every, linear_only=linear_only,
-                           mms_amplitude=mms, startup_steps=startup)
-    except ValueError as e:
-        raise ConfigError(f"numerics: {e}") from e
-    for name, span in (("numerics.T_end", T_end), ("kernel.tau2", kernel.tau2)):
-        if span / dt > MAX_SAMPLES:
-            raise ConfigError(f"{name} / numerics.dt must not exceed "
-                              f"{MAX_SAMPLES}, got {span!r} / {dt!r}")
-    if config.n_steps == 0:
-        raise ConfigError(f"numerics.T_end = {T_end!r} gives no time step")
-    unread, absent = doc.unread()
-    if unread:
-        quote = lambda names: ", ".join(f"'{name}'" for name in names)
-        raise UnusedFieldError(
-            f"field(s) not read by this config: {quote(unread)}"
-            + (f" (left out beside them: {quote(absent)})" if absent else ""))
-    return config
+    f = _read(doc)
+    params, gains, kernel = _model(f)
+    return SimConfig(params=params, gains=gains, kernel=kernel,
+                     u0=_build_u0(f, params), z0=_build_z0(f),
+                     mms_amplitude=f["mms_amplitude"], **_kwargs(f, "numerics"))
 
 
 # ---------------------------------------------------------------------------
@@ -418,28 +423,22 @@ def cmd_run(doc: dict, out: str) -> int:
 
 
 def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
-    """A copy of `doc` with `axis` set to `value`; a defaulted field is
-    added, with its section, where `doc` leaves it out."""
-    parts = axis.split(".")
-    defaulted = axis in DEFAULTED_FIELDS
-    out = json.loads(json.dumps(doc))  # deep copy
-    node = out
-    for key in parts[:-1]:
-        if defaulted and key not in node:
-            node[key] = {}
-        node = node.get(key)
-        if not isinstance(node, dict):
-            raise ConfigError(f"axis '{axis}': '{key}' is not a config section")
-    leaf = parts[-1]
-    if leaf not in node:
-        if not defaulted:
-            raise ConfigError(f"axis '{axis}': no such field")
-    elif isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
-        raise ConfigError(f"axis '{axis}' must name a scalar field")
-    if axis in INT_FIELDS:
+    """A copy of `doc` with the numeric field `axis` set to `value`, added
+    with its sections where `doc` leaves them out."""
+    kind = {row.path: row.type for row in FIELDS}.get(axis)
+    if kind not in (NUMBER, INTEGER, NUMBER_OR_NULL):
+        raise ConfigError(f"axis '{axis}': " + ("no such field" if kind is None
+                                                else "not a numeric field"))
+    if kind == INTEGER:
         if not float(value).is_integer():
             raise ConfigError(f"axis '{axis}' takes integers, got {value!r}")
         value = int(value)
+    node = out = json.loads(json.dumps(doc))  # deep copy
+    *sections, leaf = axis.split(".")
+    for key in sections:
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"axis '{axis}': '{key}' is not a config section")
     node[leaf] = value
     return out
 
@@ -492,8 +491,8 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
         sub = _sweep_axis_set(doc, axis, v)
         try:
             build_sim_config(sub)
-        except UnusedFieldError:
-            raise
+        except UnusedFieldError as e:
+            raise UnusedFieldError(f"sweep over axis '{axis}': {e}") from e
         except (ConfigError, ConditionError, ValueError):
             pass    # a bad value fails its own row
     jobs = [(i, doc, axis, v) for i, v in enumerate(values)]
@@ -560,8 +559,8 @@ def cmd_verify(doc: dict, out: str) -> int:
         note="linear run; E must be nonincreasing")
 
     obs_cfg = replace(config, T_end=max(5.0, kernel.tau2))
-    c_obs, ratios = diagnostics.estimate_observability(obs_cfg, n_samples=20,
-                                                       seed=doc.get("seed", 0))
+    c_obs, ratios = diagnostics.estimate_observability(
+        obs_cfg, n_samples=20, seed=_read(doc, ("seed",))["seed"])
     add("observability_c_obs", 0.0, c_obs, c_obs > 0.0,
         note="evidence only, not a proof; C = 1/c_obs")
 

@@ -84,6 +84,9 @@ def test_initial_specs(reference_doc):
         "z0": {"type": "sinusoid", "amplitude": 1.0, "omega": 2.0, "phase": 0.1}}
     cfg = build_sim_config(reference_doc)
     assert cfg.z0(0.0) == pytest.approx(math.sin(0.1))
+    reference_doc["initial"]["u0"]["mode"] = 2.0    # an integral float
+    assert (build_sim_config(reference_doc).u0([0.5, 1.0])
+            == cfg.u0([0.5, 1.0])).all()
     reference_doc["initial"]["z0"] = {"type": "tabulated",
                                       "times": [-2.0, 0.0], "values": [1.0, 3.0]}
     cfg = build_sim_config(reference_doc)
@@ -168,6 +171,12 @@ def test_exit_1_bad_sine_profile(tmp_path, capsys, u0):
      "kernel.params.samples"),
     ({"kernel": {"form": "tabulated", "params": {"samples": [[1.2, 1.0, 3]]}}},
      "kernel.params.samples"),
+    ({"kernel": {"form": "tabulated", "params": {"samples": [[1.2, 1.0]]}}},
+     "kernel.params.samples"),
+    ({"kernel": {"params": {"c": -1}}}, "kernel.params.c"),
+    ({"gains": {"mu1": -1}}, "gains.mu1"),
+    ({"kernel": {"tau1": 3.0}}, "kernel.tau1"),
+    ({"numerics": {"dt": -0.01}}, "numerics.dt"),
 ])
 def test_exit_1_malformed_field_named(tmp_path, capsys, patch, field):
     """Each of these ended in a traceback or a silent zero-step run."""
@@ -207,6 +216,11 @@ def test_exit_1_beyond_resource_limits(tmp_path, capsys, section, patch, field):
     ({"initial": {"u0": {"type": "sine", "amplitude": 0.1,
                          "h_norm_r_max_fraction": 0.5}}},
      ["initial.u0.amplitude", "initial.u0.h_norm_r_max_fraction"]),
+    ({"kernel": {"params": {"c": 1.0, "sigma": 0.5}}}, ["kernel.params.sigma"]),
+    ({"kernel": {"params.c": 2.0}}, ["kernel.params.c"]),
+    ({"kernel": {"form": "tabulated",
+                 "params": {"c": 1.0, "samples": [[0.5, 1.0], [2.5, 1.0]]}}},
+     ["kernel.params.c"]),
 ])
 def test_exit_1_unused_field_named(tmp_path, capsys, patch, fields):
     """A key that the parser never reads, or that another key overrides, is
@@ -240,6 +254,50 @@ def test_sweep_over_unused_field_is_config_error(tmp_path, capsys, patch,
     assert not (tmp_path / "out").exists()
 
 
+def test_unused_field_lists_left_out_selector(tmp_path, capsys):
+    """A tabulated kernel that leaves out kernel.form is read as a constant
+    one: the message names the unread samples and the left-out form."""
+    doc = doc_with(kernel={"params": {"samples": [[0.5, 1.0], [2.5, 1.0]]}})
+    del doc["kernel"]["form"]
+    rc = main(["run", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "'kernel.params.samples'" in err and "'kernel.form'" in err, err
+
+
+@pytest.mark.parametrize("section, patch, field", [
+    ("gains", {"Alpha": 0.5}, "gains.Alpha"),
+    ("model", {"l": 3.0}, "model.l"),
+    ("kernel", {"params": {"c": 1.0, "sigma": 0.5}}, "kernel.params.sigma"),
+])
+def test_check_rejects_unread_model_keys(tmp_path, capsys, section, patch,
+                                         field):
+    """`check` reads model, gains and kernel, and a key there that it does
+    not read is a config error, as for `run`."""
+    doc = doc_with(**{section: patch})
+    rc = main(["check", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("u0", [{"type": "zero"},
+                                {"type": "bump", "amplitude": 0.1},
+                                {"type": "random"}])
+@pytest.mark.parametrize("L", [1e300, 1e-300])
+def test_exit_1_domain_length_beyond_float_range(tmp_path, capsys, u0, L):
+    """Such an L overflowed (or divided by zero) in the operator's h ** -5
+    and ended in a traceback; now it is rejected before anything is built."""
+    doc = doc_with(model={"L": L}, initial={"u0": u0})
+    rc = main(["run", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "model.L" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_field_of_the_shipped_configs_is_read(tmp_path):
     """configs/*.json, and the same with a seeded sinusoid history and a
     sine profile given by its amplitude, parse with every key read; `check`
@@ -257,6 +315,16 @@ def test_every_field_of_the_shipped_configs_is_read(tmp_path):
         doc["extra"] = {"note": "unread"}
         assert main(["check", "--config", write_doc(tmp_path, doc),
                      "--out", str(tmp_path / "check")]) == 0
+
+
+def test_readme_lists_every_field():
+    """The README's Configuration list has one entry per row of FIELDS, in
+    the same order."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8").read()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `([\w.]+)`:", section, flags=re.M)
+    assert listed == [row.path for row in cli.FIELDS]
 
 
 def test_sim_config_rejects_non_finite():
@@ -385,6 +453,20 @@ def test_sweep_aborted_rows_do_not_stop_sweep(tmp_path):
     assert statuses == ["aborted", "ok"]
 
 
+def test_sweep_row_beyond_float_range_aborted(tmp_path):
+    """An L of 1e300 killed the whole sweep with an OverflowError and wrote
+    no sweep.csv; now that row is aborted with a message naming model.L."""
+    doc = doc_with(numerics={"T_end": 1.0},
+                   initial={"u0": {"type": "bump", "amplitude": 0.1}})
+    rc = main(["sweep", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path), "--axis", "model.L",
+               "--values", "3,1e300", "--workers", "1"])
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text())))
+    assert [r[1] for r in rows[1:]] == ["ok", "aborted"], rows
+    assert "model.L" in rows[2][3]
+
+
 def test_sweep_bad_axis_is_config_error(tmp_path, reference_config_path, capsys):
     rc = main(["sweep", "--config", reference_config_path,
                "--out", str(tmp_path), "--axis", "model.zeta",
@@ -436,8 +518,10 @@ def test_sweep_non_integral_value_of_integer_axis(tmp_path, capsys, values):
 ])
 def test_sweep_defaulted_field_left_out_of_config(tmp_path, axis, values):
     """A field that the config leaves at its default can be swept; the value
-    reaches the run's config."""
-    doc = doc_with(numerics={"T_end": 0.5})
+    reaches the run's config.  kernel.params.sigma applies to an
+    exponential kernel only, so its case sweeps one."""
+    form = "exponential" if axis == "kernel.params.sigma" else "constant"
+    doc = doc_with(numerics={"T_end": 0.5}, kernel={"form": form})
     del doc["seed"], doc["gains"]["delta"], doc["kernel"]["params"]
     del doc["numerics"]["record_every"]
     assert "startup_steps" not in doc["numerics"]
@@ -461,9 +545,14 @@ def test_sweep_defaulted_field_left_out_of_config(tmp_path, axis, values):
 
 
 @pytest.mark.parametrize("axis", ["gains.zeta", "kernel.params.zeta",
-                                  "numerics.startup", "kernel.params.c.x"])
+                                  "numerics.startup", "kernel.params.c.x",
+                                  "numerics.linear_only", "kernel.form",
+                                  "initial.u0.type", "kernel.params.samples",
+                                  "initial.z0.omega", "kernel.params.sigma"])
 def test_sweep_unknown_field_is_config_error(tmp_path, reference_config_path,
                                              capsys, axis):
+    """No such field, a field that is not a number, or one that this config
+    (constant kernel, zero z0) does not read: exit 1 before any run."""
     rc = main(["sweep", "--config", reference_config_path,
                "--out", str(tmp_path / "out"), "--axis", axis,
                "--values", "1,2"])
@@ -588,38 +677,70 @@ def test_sweep_non_positive_workers_is_config_error(tmp_path,
 
 
 # ---------------------------------------------------------------------------
-# fuzzing: one field of the reference config replaced by a bad value
+# fuzzing: one field of a short config replaced by a bad value
 
 
 _MISSING = object()
-_FUZZ_DOC = doc_with(numerics={"T_end": 0.05},
-                     initial={"z0": {"type": "sinusoid", "amplitude": 0.1,
-                                     "omega": 2.0}})
-_FUZZ_DOC["mms_amplitude"] = None
+_FUZZ_BASE = doc_with(numerics={"T_end": 0.05},
+                      initial={"z0": {"type": "sinusoid", "amplitude": 0.1,
+                                      "omega": 2.0}})
+_FUZZ_BASE["mms_amplitude"] = None
+# documents under which every row of cli.FIELDS applies, some row each
+_FUZZ_PATCHES = [
+    {},
+    {"initial": {"u0": {"type": "bump", "amplitude": 0.1}}},
+    {"initial": {"u0": {"type": "random"}, "z0": {"type": "random"}}},
+    {"initial": {"z0": {"type": "constant", "value": 0.1}}},
+    {"initial": {"z0": {"type": "tabulated", "times": [-2.0, 0.0],
+                        "values": [0.1, 0.2]}}},
+    {"kernel": {"form": "exponential", "params": {"c": 1.0, "sigma": 0.5}}},
+    {"kernel": {"form": "tabulated",
+                "params": {"samples": [[0.5, 1.0], [2.5, 1.0]]}}},
+    {"mms_amplitude": 0.01},
+]
 
 
-def _paths(node, prefix=()):
-    for key, value in node.items():
-        yield prefix + (key,)
-        if isinstance(value, dict):
-            yield from _paths(value, prefix + (key,))
+def _fuzz_doc(i):
+    doc = dict(_FUZZ_BASE)
+    for key, patch in _FUZZ_PATCHES[i].items():
+        doc[key] = {**doc[key], **patch} if isinstance(patch, dict) else patch
+    return json.loads(json.dumps(doc))  # deep copy
+
+
+def _fuzz_cases():
+    """(document index, path) for every row and section that applies."""
+    cases = set()
+    for i in range(len(_FUZZ_PATCHES)):
+        for path in cli._read(_fuzz_doc(i)):
+            keys = tuple(path.split("."))
+            cases.update((i, keys[:k]) for k in range(1, len(keys) + 1))
+    return sorted(cases)
+
+
+_FUZZ_CASES = _fuzz_cases()
+
+
+def test_fuzz_cases_cover_every_field():
+    assert {".".join(p) for _, p in _FUZZ_CASES} >= {
+        row.path for row in cli.FIELDS}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflowing runs
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(path=st.sampled_from(sorted(_paths(_FUZZ_DOC))),
+@given(case=st.sampled_from(_FUZZ_CASES),
        value=st.sampled_from(["abc", [1], {}, None, True, math.nan, -1, -1.5,
                               1e300, 10 ** 400, _MISSING]))
-def test_fuzz_run_exits_with_documented_code(path, value):
+def test_fuzz_run_exits_with_documented_code(case, value):
     """Every such config ends in exit code 0-4; no exception escapes, and a
-    config error names the field (its last key)."""
-    doc = json.loads(json.dumps(_FUZZ_DOC))
+    config error names the field by its full dotted path."""
+    i, path = case
+    doc = _fuzz_doc(i)
     node = doc
     for key in path[:-1]:
         node = node[key]
     if value is _MISSING:
-        del node[path[-1]]
+        node.pop(path[-1], None)
     else:
         node[path[-1]] = value
     with tempfile.TemporaryDirectory() as tmp:
@@ -633,7 +754,7 @@ def test_fuzz_run_exits_with_documented_code(path, value):
                        os.path.join(tmp, "out")])
     assert rc in (0, 1, 2, 3, 4)
     if rc == 1:
-        assert path[-1] in err.getvalue(), err.getvalue()
+        assert ".".join(path) in err.getvalue(), err.getvalue()
 
 
 # ---------------------------------------------------------------------------
