@@ -175,6 +175,29 @@ def _value(row: Field, v, f: dict):
     return x
 
 
+class _Row(NamedTuple):
+    """A FIELDS row with its path split once: the key tuple, the selector
+    path and the names it must read ((), if the row always applies), and
+    the key prefixes that the row names."""
+
+    field: Field
+    keys: tuple
+    selector: str
+    names: tuple
+    prefixes: tuple
+
+
+def _row(field: Field) -> _Row:
+    keys = tuple(field.path.split("."))
+    selector, _, names = field.when.partition("=")
+    return _Row(field, keys, selector, tuple(names.split("|")) if names else (),
+                tuple(keys[:i] for i in range(1, len(keys) + 1)))
+
+
+_ROWS = tuple(map(_row, FIELDS))
+_FIELD_TYPES = {row.path: row.type for row in FIELDS}
+
+
 def _unread(node: dict, named: set, prefix=()):
     for key, value in node.items():
         if prefix + (key,) not in named:
@@ -189,13 +212,11 @@ def _read(doc: dict, sections=None) -> dict:
     applying row names is an UnusedFieldError, whose message also lists the
     applying rows left out: a default may be what makes the key moot."""
     f, named, left_out = {}, set(), []
-    for row in FIELDS:
-        keys = row.path.split(".")
-        selector, _, names = row.when.partition("=")
+    for row, keys, selector, names, prefixes in _ROWS:
         if (sections is not None and keys[0] not in sections
-                or names and f[selector] not in names.split("|")):
+                or names and f[selector] not in names):
             continue
-        named.update(tuple(keys[:i]) for i in range(1, len(keys) + 1))
+        named.update(prefixes)
         node = doc
         for i, key in enumerate(keys[:-1], 1):
             node = node.get(key, {})
@@ -413,7 +434,8 @@ def cmd_run(doc: dict, out: str) -> int:
         _write_json(os.path.join(_ensure_out(out), "report.json"),
                     {"aborted": {"message": str(e), "step": e.step_index,
                                  "t": e.t, "last_finite_t": e.last_finite_t,
-                                 "last_finite_l2": e.last_finite_l2}})
+                                 "last_finite_l2": e.last_finite_l2,
+                                 "last_finite_E": e.last_finite_E}})
         raise
     _ensure_out(out)
     write_series_csv(os.path.join(out, "series.csv"), result.records)
@@ -425,7 +447,7 @@ def cmd_run(doc: dict, out: str) -> int:
 def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
     """A copy of `doc` with the numeric field `axis` set to `value`, added
     with its sections where `doc` leaves them out."""
-    kind = {row.path: row.type for row in FIELDS}.get(axis)
+    kind = _FIELD_TYPES.get(axis)
     if kind not in (NUMBER, INTEGER, NUMBER_OR_NULL):
         raise ConfigError(f"axis '{axis}': " + ("no such field" if kind is None
                                                 else "not a numeric field"))

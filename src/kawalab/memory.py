@@ -34,10 +34,10 @@ class HistoryBuffer:
     sample.
 
     `trace` is every sample since the initial history, oldest first; `w`
-    and `times()` are its last `maxlen` samples, which cover at least
-    [t_now - tau2, t_now].  `push` appends a sample and never moves a stored
-    one.  The array has room for `steps` pushes and grows geometrically
-    beyond them.  Single-writer: the time loop pushes once per completed
+    is its last `maxlen` samples, which cover at least [t_now - tau2, t_now],
+    and `window()` gives them with their times.  `push` appends a sample and
+    never moves a stored one.  The array has room for `steps` pushes and
+    grows geometrically beyond them.  Single-writer: the time loop pushes once per completed
     step.
     """
 
@@ -50,9 +50,10 @@ class HistoryBuffer:
         self._n = len(samples)
         self._data = np.empty(self._n + steps)
         self._data[:self._n] = samples
-        # lag dt*k of each of the last maxlen samples, oldest first:
-        # times() = t_now - lags
+        # lag dt*k of each of the last maxlen samples, oldest first: the
+        # times of `window` are t_now - lags
         self._lags = dt * np.arange(self.maxlen - 1, -1, -1)
+        self._times = np.empty(self.maxlen)     # `window`'s times
         self.t_now = t_now
         if self.span < tau2:
             raise ValueError("initial history does not span tau2")
@@ -81,8 +82,13 @@ class HistoryBuffer:
     def span(self) -> float:
         return (min(self._n, self.maxlen) - 1) * self.dt
 
-    def times(self) -> np.ndarray:
-        return self.t_now - self._lags[self.maxlen - min(self._n, self.maxlen):]
+    def window(self):
+        """(times, w) of the last `maxlen` samples: the times in an array
+        that the next call overwrites, w a view."""
+        m = min(self._n, self.maxlen)
+        times = self._times[self.maxlen - m:]
+        np.subtract(self.t_now, self._lags[self.maxlen - m:], out=times)
+        return times, self._data[self._n - m:self._n]
 
     def push(self, w_new: float) -> None:
         if self._n == len(self._data):
@@ -145,6 +151,7 @@ class LagNodes:
         self.d = np.diff(np.concatenate(self.segs))
         n = len(self.lam)
         self.x, self.y, self.terms = np.empty(n), np.empty(n), np.empty(n - 1)
+        self.y_hi, self.y_lo = self.y[1:], self.y[:-1]
         ends = np.cumsum([len(s) for s in self.segs]).tolist()
         bounds = list(zip([0] + ends[:-1], ends))
         self.x_segs = [self.x[lo:hi] for lo, hi in bounds]
@@ -155,21 +162,24 @@ def feedback_integrals(buf: HistoryBuffer, quad: LagQuadrature,
                        t_evals: tuple) -> list:
     """[memory_integral(buf, quad.kernel, t) for t in t_evals], bit for bit,
     from cached nodes and one interpolation over the nodes of all times."""
-    nodes = quad.nodes(buf.dt, tuple([t - buf.t_now for t in t_evals]))
-    eps = 1e-9 * buf.dt
-    oldest = buf.t_now - buf.span - eps
-    newest = buf.t_now + eps
+    t_now, dt = buf.t_now, buf.dt
+    tau1, tau2 = quad.kernel.tau1, quad.kernel.tau2
+    nodes = quad.nodes(dt, tuple([t - t_now for t in t_evals]))
+    times, w = buf.window()
+    eps = 1e-9 * dt
+    oldest = t_now - (len(w) - 1) * dt - eps     # t_now - span
+    newest = t_now + eps
     for t, s, x in zip(t_evals, nodes.segs, nodes.x_segs):
         # t - s runs from t - tau1 down to t - tau2, the nodes' exact ends
-        if t - quad.kernel.tau2 < oldest:
+        if t - tau2 < oldest:
             raise ValueError("insufficient history span for the memory integral")
-        if t - quad.kernel.tau1 > newest:
+        if t - tau1 > newest:
             raise ValueError("requested time outside the stored history span")
         np.subtract(t, s, out=x)
-    y, terms = nodes.y, nodes.terms
-    np.multiply(nodes.lam, np.interp(nodes.x, buf.times(), buf.w), out=y)
+    terms = nodes.terms
+    np.multiply(nodes.lam, np.interp(nodes.x, times, w), out=nodes.y)
     # np.trapezoid's arithmetic, d * (y[1:] + y[:-1]) / 2.0, summed per segment
-    np.add(y[1:], y[:-1], out=terms)
+    np.add(nodes.y_hi, nodes.y_lo, out=terms)
     np.multiply(nodes.d, terms, out=terms)
     np.divide(terms, 2.0, out=terms)
     return [float(np.add.reduce(ts)) for ts in nodes.term_segs]

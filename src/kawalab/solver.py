@@ -17,7 +17,20 @@ narrow row blocks, `_rhs_layout`), the memory feedback of the oracle
 `memory_integral` in `tests/conftest.py` (evaluated by
 `memory.feedback_integrals`), the D1 products and the band solve.  A single
 rounding change early in a run moves the final energy by up to ~1e-5
-relative.  The history buffer is the run's one store of the boundary trace
+relative.
+
+Two rules keep those bits while the step stays lean.  Constants set up
+once are the scalar prefixes that Python forms left to right in the plain
+expressions (`-g_F`, whose negation is exact, `0.5 * dt * alpha` and
+`p + 2.0`), never vectors pre-multiplied by a scalar: `g_F * (beta * mem)`
+and `(beta * g_F) * mem` round differently.  Every intermediate is written
+with `out=` into work arrays set up once, in the plain formulation's order;
+the arrays a step returns (`u`, `prev_nl`) are new ones, which the returned
+state owns.  The step enters no `np.errstate`: `run` enters one around its
+time loop, so that a diverging state overflows silently until the step's
+finiteness check turns it into a `SolverAbort`.
+
+The history buffer is the run's one store of the boundary trace
 and its one clock: `SimState.t_now` reads the buffer's.  The time loop
 advances the state and stores t and ||u||^2 per step, and at a record step
 the few record values that need the state; the history functionals are
@@ -80,8 +93,9 @@ dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 class SolverAbort(RuntimeError):
     """A run that cannot go on.  `run` fills in the time and the value of
-    the last finite ||u||^2 before the abort (None if there is none); a
-    blow-up overflows ||u||^2 some steps before the state itself."""
+    the last finite ||u||^2 before the abort (None if there is none), and
+    the energy ||u||^2 + |beta| z_plain at that step (None if it is not
+    finite); a blow-up overflows ||u||^2 some steps before the state itself."""
 
     def __init__(self, message, step_index, t):
         super().__init__(f"{message} at step {step_index}, t = {t:.6g}")
@@ -89,6 +103,7 @@ class SolverAbort(RuntimeError):
         self.t = t
         self.last_finite_t = None
         self.last_finite_l2 = None
+        self.last_finite_E = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +148,9 @@ class SimState:
     u: np.ndarray
     history: HistoryBuffer
     step_index: int
+    # u_xx(t, 0) of u: the sample the step that made u pushed, or the trace
+    # of u0 (not the history's z0(0)) in the initial state
+    w0: float
     prev_nl: Optional[np.ndarray] = None  # N(u) at the previous level, for AB2
 
     @property
@@ -141,10 +159,14 @@ class SimState:
         return self.history.t_now
 
 
-def _pow_p(u: np.ndarray, p: float) -> np.ndarray:
-    if p == round(p):
-        return u ** int(round(p))
-    return np.abs(u) ** p
+def _pow_p(u: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
+    """u^p for p = 1 or 2 (u itself for p = 1), |u|^p for a fractional p,
+    written into `out` unless it is u."""
+    if p == 1.0:
+        return u
+    if p == 2.0:
+        return np.square(u, out=out)
+    return np.power(np.abs(u, out=out), p, out=out)
 
 
 def _build_mms(params: PhysicalParams, amplitude: float):
@@ -249,54 +271,54 @@ class _ImplicitSystem:
                                          overwrite_ab=True)
         if info != 0:
             raise SolverAbort("singular implicit system", 0, 0.0)
-        self.q = self.solve(op.g_F)
+        self.q = self.solve(op.g_F.copy())
         self.c = cdt * alpha
         self.denom = 1.0 + self.c * float(op.trace0_vec @ self.q)
         if abs(self.denom) < 1e-14:
             raise SolverAbort("singular implicit system", 0, 0.0)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The banded solve (without the rank-one term)."""
-        y, info = dgbtrs(self.lu, BANDWIDTH, BANDWIDTH, rhs, self.piv)
+        """The banded solve (without the rank-one term), in place: returns
+        `rhs`, overwritten with the solution."""
+        y, info = dgbtrs(self.lu, BANDWIDTH, BANDWIDTH, rhs, self.piv,
+                         overwrite_b=True)
         if info != 0:
             raise SolverAbort("singular implicit system", 0, 0.0)
         return y
 
 
 class Stepper:
-    """Holds the factorized pieces; `step` is the single time advance."""
+    """Holds the factorized pieces, the constants and the work arrays of a
+    step; `step` is the single time advance.  The work arrays make a
+    Stepper single-threaded."""
 
     def __init__(self, config: SimConfig, op: SpatialOperator | None = None):
         self.config = config
         self.grid = Grid(config.N, config.params.L)
         self.op = op if op is not None else build_operator(config.params, self.grid)
-        dt = config.dt
+        N, dt = config.N, config.dt
         alpha = config.gains.alpha
         # I - dt/2 A as row blocks (r0, r1, c0, c1, B) on the windows of
         # `_rhs_layout`, each B with the entries of the dense construction:
         # 0.0 - A dt/2 keeps the +0 of the zero entries, then +1 on the diagonal
         self.rhs_blocks = []
-        for r0, r1, c0, c1 in _rhs_layout(config.N):
+        for r0, r1, c0, c1 in _rhs_layout(N):
             B = self.op.block(r0, r1, c0, c1)
             B *= 0.5 * dt
             np.subtract(0.0, B, out=B)
             rows = np.arange(r0, r1)
             B[rows - r0, rows - c0] += 1.0
             self.rhs_blocks.append((r0, r1, c0, c1, B))
-        # `_cn_rhs` copies u into _u and fills _rhs one block product at a time
-        self._u = np.empty(config.N)
-        self._rhs = np.empty(config.N)
+        # `_cn_rhs` copies u into _u and fills _rhs one block product at a
+        # time; the BE step writes its right-hand side into _rhs too
+        self._u = np.empty(N)
+        self._rhs = np.empty(N)
         self._rhs_products = [(B, self._u[c0:c1], self._rhs[r0:r1])
                               for r0, r1, c0, c1, B in self.rhs_blocks]
         self.cn = _ImplicitSystem(self.op, dt, alpha, 0.5)
         # backward-Euler startup system (Rannacher smoothing of rough data)
         self.be = _ImplicitSystem(self.op, dt, alpha, 1.0)
         self.n_startup = config.startup_steps
-        # centered first difference, rows (-c, 0, c) about the diagonal
-        self._d1 = 0.5 / self.grid.h
-        # rows (+0, g, -0) and (+0, u, -0) of `nonlinear`, for `_apply_d1`
-        self._pad = np.zeros((2, config.N + 2))
-        self._pad[:, -1] = -0.0
         self.memory_quad = LagQuadrature(config.kernel)
         self.trace_weights = TraceWeights(config.kernel, dt, config.gains.delta)
         if config.mms_amplitude is not None:
@@ -305,49 +327,77 @@ class Stepper:
         else:
             self.mms_exact = self.mms_forcing = None
 
+        # the constants of the plain formulation, as it forms them: -g_F (an
+        # exact negation), the scalar prefix 0.5 * dt * alpha of the alpha
+        # feedback term and the divisor p + 2.0
+        self._dt = dt
+        self._beta = config.gains.beta
+        self._neg_g_F = -self.op.g_F
+        self._half_dt_alpha = 0.5 * dt * alpha
+        self._p = config.params.p
+        self._p2 = self._p + 2.0
+        # centered first difference, rows (-c, 0, c) about the diagonal
+        self._d1 = 0.5 / self.grid.h
+        # work arrays: the explicit term, the AB2 midpoint, the alpha
+        # feedback term and rank-one correction, |u|^p, and the D1 rows of
+        # `nonlinear`: (+0, g, -0) and (+0, u, -0) for `_apply_d1`, then
+        # D1 g and D1 u
+        self._expl = np.empty(N)
+        self._mid = np.empty(N)
+        self._corr = np.empty(N)
+        self._up = np.empty(N)
+        self._pad = np.zeros((2, N + 2))
+        self._pad[:, -1] = -0.0
+        self._pad_g, self._pad_u = self._pad[:, 1:-1]
+        self._d1_rows = np.empty((2, N))
+
     def _solve_implicit(self, rhs: np.ndarray, be: bool = False) -> np.ndarray:
+        """The implicit system's solution, a new array.  Overwrites `rhs`."""
         system = self.be if be else self.cn
         y = system.solve(rhs)
-        return y - system.c * float(self.op.trace0_vec @ y) / system.denom * system.q
+        corr = np.multiply(
+            system.q, system.c * float(self.op.trace0_vec @ y) / system.denom,
+            out=self._corr)
+        return np.subtract(y, corr)
 
     def _cn_rhs(self, u: np.ndarray) -> np.ndarray:
         """(I - dt/2 A) u, bit for bit the dense product, in the reused
         array `_rhs`."""
-        np.copyto(self._u, u)
+        self._u[...] = u
         for B, x, y in self._rhs_products:
             B.dot(x, out=y)
         return self._rhs
 
-    def _apply_d1(self, pad: np.ndarray) -> np.ndarray:
+    def _apply_d1(self, pad: np.ndarray, out=None) -> np.ndarray:
         """D1 @ v for each row (+0, v, -0) of `pad`: c v[i+1] - c v[i-1].
 
         The same two products per row as the dense D1; the zeros make the
         end rows c v[1] - (+0) = c v[1] and (-0) - c v[-2] = -(c v[-2]),
-        signed zeros included.
+        signed zeros included.  Scales `pad` by c in place.
         """
-        cp = self._d1 * pad
-        return cp[..., 2:] - cp[..., :-2]
+        cp = np.multiply(pad, self._d1, out=pad)
+        return np.subtract(cp[..., 2:], cp[..., :-2], out=out)
 
     def nonlinear(self, u: np.ndarray) -> np.ndarray:
-        p = self.config.params.p
-        # blowing-up trajectories overflow here; the step's finiteness check
-        # turns the resulting non-finite values into a SolverAbort
-        with np.errstate(over="ignore", invalid="ignore"):
-            up = _pow_p(u, p)
-            pad = self._pad
-            np.multiply(up, u, out=pad[0, 1:-1])     # g = |u|^p u
-            pad[1, 1:-1] = u
-            dg, du = self._apply_d1(pad)
-            return (dg + up * du) / (p + 2.0)
+        """(D1(|u|^p u) + |u|^p (D1 u)) / (p + 2), a new array.  Enters no
+        errstate: a blow-up overflows here, under `run`'s."""
+        up = _pow_p(u, self._p, self._up)
+        np.multiply(up, u, out=self._pad_g)             # g = |u|^p u
+        self._pad_u[...] = u
+        dg, du = self._apply_d1(self._pad, out=self._d1_rows)
+        nl = np.multiply(up, du)
+        np.add(dg, nl, out=nl)
+        return np.divide(nl, self._p2, out=nl)
 
     def step(self, state: SimState) -> SimState:
         """Advance one step.  The history buffer, and with it the clock, is
-        advanced in place: the returned state shares it with `state`."""
-        cfg = self.config
-        dt = cfg.dt
+        advanced in place: the returned state shares it with `state`, and
+        owns its `u` and `prev_nl`.  Enters no errstate (see `run`)."""
+        dt = self._dt
         u = state.u
-        t = state.t_now
         buf = state.history
+        t = buf.t_now
+        expl = self._expl
 
         be = state.step_index < self.n_startup
 
@@ -360,37 +410,48 @@ class Stepper:
             m0, m1 = feedback_integrals(buf, self.memory_quad, (t, t + dt))
             mem = 0.5 * (m0 + m1)
             t_force = t + 0.5 * dt
-        expl = -self.op.g_F * (cfg.gains.beta * mem)
+        np.multiply(self._neg_g_F, self._beta * mem, out=expl)
 
         nl = None
-        if not cfg.linear_only:
+        if not self.config.linear_only:
             nl = self.nonlinear(u)
-            nl_mid = (1.5 * nl - 0.5 * state.prev_nl
-                      if not be and state.prev_nl is not None else nl)
-            expl = expl - nl_mid
+            nl_mid = nl
+            if not be and state.prev_nl is not None:
+                # 1.5 nl - 0.5 prev_nl
+                nl_mid = np.multiply(nl, 1.5, out=self._mid)
+                np.subtract(nl_mid, np.multiply(state.prev_nl, 0.5,
+                                                out=self._corr), out=nl_mid)
+            np.subtract(expl, nl_mid, out=expl)
         if self.mms_forcing is not None:
-            expl = expl + self.mms_forcing(self.grid.x, t_force)
+            np.add(expl, self.mms_forcing(self.grid.x, t_force), out=expl)
+        np.multiply(expl, dt, out=expl)
 
         if be:
-            rhs = u + dt * expl
+            rhs = np.add(u, expl, out=self._rhs)
         else:
             rhs = self._cn_rhs(u)
-            rhs -= 0.5 * dt * cfg.gains.alpha * self.op.trace_uxx0(u) * self.op.g_F
-            rhs += dt * expl
+            np.subtract(rhs, np.multiply(self.op.g_F,
+                                         self._half_dt_alpha * state.w0,
+                                         out=self._corr), out=rhs)
+            np.add(rhs, expl, out=rhs)
         u_new = self._solve_implicit(rhs, be=be)
-        if not np.isfinite(u_new).all():
+        # the trace dot multiplies every entry of u_new, and 0 * inf = NaN,
+        # so a finite w0 means a finite u_new; the whole state is checked
+        # only when it is not
+        w0 = self.op.trace_uxx0(u_new)
+        if not math.isfinite(w0) and not np.isfinite(u_new).all():
             raise SolverAbort("non-finite state", state.step_index + 1, t + dt)
-
-        buf.push(self.op.trace_uxx0(u_new))
+        buf.push(w0)
         return SimState(u=u_new, history=buf, step_index=state.step_index + 1,
-                        prev_nl=nl)
+                        w0=w0, prev_nl=nl)
 
     def initial_state(self) -> SimState:
         u0 = np.asarray(self.config.u0(self.grid.x), dtype=float)
         buf = HistoryBuffer.from_initial(self.config.z0, self.config.dt,
                                          self.config.kernel.tau2,
                                          self.config.n_steps)
-        return SimState(u=u0, history=buf, step_index=0)
+        return SimState(u=u0, history=buf, step_index=0,
+                        w0=self.op.trace_uxx0(u0))
 
 
 @dataclass
@@ -425,6 +486,11 @@ def run(config: SimConfig) -> RunResult:
     keeps the trace w.  The history functionals of the series and the
     records come from those after the loop.  Deterministic: identical
     configs produce bitwise-identical trajectories.
+
+    The time loop runs under one `np.errstate` that ignores overflow and
+    invalid operations: a diverging state overflows ||u||^2 some steps
+    before the state itself turns non-finite, which the step's finiteness
+    check makes a SolverAbort.
     """
     from . import diagnostics  # local import: diagnostics also drives runs
 
@@ -432,41 +498,46 @@ def run(config: SimConfig) -> RunResult:
     state = st.initial_state()
     n_steps = config.n_steps
     h = st.grid.h
+    # the initial history, then w(t_k) at index i0 + k of the buffer's trace
+    i0 = len(state.history.trace) - 1
+    K = st.trace_weights.K
 
     t = np.empty(n_steps + 1)
     l2 = np.empty(n_steps + 1)
+    sq = np.empty(config.N)             # u^2, for ||u||^2
     rec_steps, rec_scalars = [], []     # each record's step and state_scalars
 
-    t[0] = state.t_now
-    # A diverging state overflows ||u||^2 some steps before the state itself
-    # turns non-finite, which the step's finiteness check makes a SolverAbort.
-    with np.errstate(over="ignore"):
-        l2[0] = h * (state.u ** 2).sum()
-    if config.record_every > 0:
-        rec_steps.append(0)
-        rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
-    for k in range(1, n_steps + 1):
-        try:
-            state = st.step(state)
-        except SolverAbort as e:
-            finite = np.flatnonzero(np.isfinite(l2[:k]))
-            if finite.size:
-                j = finite[-1]
-                e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
-            raise
-        t[k] = state.t_now
-        with np.errstate(over="ignore"):
-            l2[k] = h * (state.u ** 2).sum()
-        if config.record_every > 0 and (
-                state.step_index % config.record_every == 0 or k == n_steps):
-            rec_steps.append(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t[0] = state.t_now
+        l2[0] = h * np.add.reduce(np.square(state.u, out=sq))
+        if config.record_every > 0:
+            rec_steps.append(0)
             rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
+        for k in range(1, n_steps + 1):
+            try:
+                state = st.step(state)
+            except SolverAbort as e:
+                finite = np.flatnonzero(np.isfinite(l2[:k]))
+                if finite.size:
+                    j = finite[-1]
+                    e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
+                    # the failed step pushed nothing: the trace ends at t_{k-1}
+                    tv = trace_series(state.history.trace[i0 - K:],
+                                      st.trace_weights)
+                    E = e.last_finite_l2 + abs(config.gains.beta) * float(
+                        tv.z_plain[j])
+                    e.last_finite_E = E if math.isfinite(E) else None
+                raise
+            t[k] = state.t_now
+            l2[k] = h * np.add.reduce(np.square(state.u, out=sq))
+            if config.record_every > 0 and (
+                    state.step_index % config.record_every == 0 or k == n_steps):
+                rec_steps.append(k)
+                rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
 
-    # the initial history, then w(t_k) at index i0 + k
     trace = state.history.trace
-    i0 = len(trace) - 1 - n_steps
     w = trace[i0:]
-    tv = trace_series(trace[i0 - st.trace_weights.K:], st.trace_weights)
+    tv = trace_series(trace[i0 - K:], st.trace_weights)
     with np.errstate(over="ignore", invalid="ignore"):
         F = config.gains.alpha * w + config.gains.beta * tv.memory
     series = TimeSeries(t=t, w=w, F=F, l2=l2, memory=tv.memory,

@@ -146,7 +146,7 @@ def w_at(buf: HistoryBuffer, t):
     eps = 1e-9 * buf.dt
     if np.any(t < t0 - eps) or np.any(t > buf.t_now + eps):
         raise ValueError("requested time outside the stored history span")
-    out = np.interp(t, buf.times(), buf.w)
+    out = np.interp(t, *buf.window())
     return out if out.ndim else float(out)
 
 

@@ -362,6 +362,11 @@ def test_exit_3_solver_abort(tmp_path, capsys):
     assert 0.0 <= aborted["last_finite_t"] < aborted["t"]
     assert math.isfinite(aborted["last_finite_l2"])
     assert aborted["last_finite_l2"] > 0.0
+    # ||u||^2 + |beta| z_plain at the same step (the solver tests check it
+    # against the z_energy oracle)
+    assert aborted["last_finite_E"] >= aborted["last_finite_l2"]
+    assert set(aborted) == {"message", "step", "t", "last_finite_t",
+                            "last_finite_l2", "last_finite_E"}
     assert f"at step {aborted['step']}" in aborted["message"]
     assert not (tmp_path / "out" / "series.csv").exists()
 

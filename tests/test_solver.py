@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,7 +15,8 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf
 
 from conftest import (copy_history, dense_d1, dense_operator_oracle,
-                      memory_integral, reference_sim_config, weighted_trace)
+                      memory_integral, reference_sim_config, weighted_trace,
+                      z_energy)
 from kawalab.discretization import BANDWIDTH
 from kawalab.memory import HistoryBuffer
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
@@ -110,6 +112,31 @@ def test_memory_feedback_alters_trajectory():
     assert not np.allclose(run(strong).final.u, run(weak).final.u)
 
 
+def abort_of_run(cfg):
+    """The SolverAbort of `run(cfg)`, which must emit no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverAbort) as info:
+            run(cfg)
+    return info.value
+
+
+def states_by_hand(cfg):
+    """(t, ||u||^2, E) of each state up to a run's abort, E from the
+    z_energy oracle on the live history, and the last state."""
+    st = Stepper(cfg)
+    state = st.initial_state()
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SolverAbort):
+        while True:
+            l2 = float(st.grid.h * (state.u ** 2).sum())
+            E = l2 + abs(cfg.gains.beta) * z_energy(state.history, cfg.kernel)
+            rows.append((state.t_now, l2, E))
+            state = st.step(state)
+    return rows, state
+
+
 def test_solver_abort_on_blowup():
     params = PhysicalParams(1.0, 1.0, math.pi, 1.0)
     gains = FeedbackGains(0.5, 0.25, 0.01, 0.01)
@@ -117,22 +144,30 @@ def test_solver_abort_on_blowup():
     cfg = SimConfig(params, gains, kernel, N=64, dt=0.9, T_end=40.0,
                     u0=lambda x: 1e8 * np.sin(np.pi * np.asarray(x) / math.pi),
                     z0=lambda t: 0.0, record_every=0)
-    with pytest.raises(SolverAbort) as info:
-        run(cfg)
-    e = info.value
-    # the same steps by hand: the abort carries the last finite ||u||^2
-    st = Stepper(cfg)
-    state = st.initial_state()
-    l2 = []
-    with np.errstate(over="ignore"), pytest.raises(SolverAbort):
-        while True:
-            l2.append((state.t_now, float(st.grid.h * (state.u ** 2).sum())))
-            state = st.step(state)
+    e = abort_of_run(cfg)
+    # the same steps by hand: the abort carries the last finite ||u||^2 and
+    # the energy of that state
+    rows, state = states_by_hand(cfg)
     assert state.step_index + 1 == e.step_index
-    assert (e.last_finite_t, e.last_finite_l2) == \
-        [p for p in l2 if math.isfinite(p[1])][-1]
+    t, l2, E = [r for r in rows if math.isfinite(r[1])][-1]
+    assert (e.last_finite_t, e.last_finite_l2) == (t, l2)
+    assert math.isfinite(E)
+    assert e.last_finite_E == pytest.approx(E, rel=1e-12, abs=0.0)
     # the state doubles its exponent per step: ||u||^2 overflows before u
     assert e.last_finite_t < e.t - cfg.dt
+
+
+def test_abort_energy_none_when_not_finite():
+    """A history too large to square gives an infinite z_plain at the last
+    finite ||u||^2: the abort reports its energy as None."""
+    cfg = reference_sim_config(N=32, T_end=5.0, record_every=0,
+                               z0=lambda t: 1e200)
+    e = abort_of_run(cfg)
+    rows, _ = states_by_hand(cfg)
+    t, l2, E = [r for r in rows if math.isfinite(r[1])][-1]
+    assert (e.last_finite_t, e.last_finite_l2) == (t, l2)
+    assert E == math.inf
+    assert e.last_finite_E is None
 
 
 def test_one_store_and_one_clock():
@@ -214,7 +249,7 @@ class ReferenceStepper:
 
     def nonlinear(self, u):
         p, D1 = self.st.config.params.p, self.D1
-        up = u ** int(p)
+        up = u ** int(p) if p == int(p) else np.abs(u) ** p
         return (D1 @ (up * u) + up * (D1 @ u)) / (p + 2.0)
 
     def step(self, u, buf, k, prev_nl):
@@ -232,6 +267,9 @@ class ReferenceStepper:
             nl = self.nonlinear(u)
             nl_mid = 1.5 * nl - 0.5 * prev_nl if not be and prev_nl is not None else nl
             expl = expl - nl_mid
+        if cfg.mms_amplitude is not None:
+            _, forcing = _build_mms(cfg.params, cfg.mms_amplitude)
+            expl = expl + forcing(self.st.grid.x, t + dt if be else t + 0.5 * dt)
         if be:
             rhs = u + dt * expl
         else:
@@ -251,15 +289,28 @@ OFFGRID_KERNELS = {
 }
 
 
-@pytest.mark.parametrize("linear_only", [False, True])
+# (linear_only, p, mms_amplitude, startup_steps): every branch that
+# Stepper.step and Stepper.nonlinear specialise (u itself as u^1, u^2,
+# |u|^p, the forcing, a first CN step on the initial state's trace)
+STEP_CASES = {"p1": (False, 1.0, None, 2), "linear": (True, 1.0, None, 2),
+              "p1.5": (False, 1.5, None, 2), "p2": (False, 2.0, None, 2),
+              "p1-mms": (False, 1.0, 0.8, 2), "p1.5-mms": (False, 1.5, 0.8, 2),
+              "linear-mms": (True, 1.0, 0.8, 2),
+              "p1-no-startup": (False, 1.0, None, 0)}
+
+
+@pytest.mark.parametrize("case", list(STEP_CASES))
 @pytest.mark.parametrize("form", sorted(OFFGRID_KERNELS))
-def test_fast_step_matches_plain_formulation_bitwise(form, linear_only):
-    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, 1.0),
-                    FeedbackGains(0.5, 0.25, 0.01, 0.01), OFFGRID_KERNELS[form],
+def test_fast_step_matches_plain_formulation_bitwise(form, case):
+    linear_only, p, mms, startup_steps = STEP_CASES[case]
+    # gains that are not powers of two, so that a reordered product shows
+    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, p),
+                    FeedbackGains(0.45, 0.3, 0.01, 0.01), OFFGRID_KERNELS[form],
                     N=64, dt=0.01, T_end=3.0,
                     u0=lambda x: 2.0 * np.sin(np.asarray(x)),
                     z0=lambda t: 0.3 * math.sin(2.0 * t + 0.4),
-                    linear_only=linear_only, startup_steps=2)
+                    linear_only=linear_only, mms_amplitude=mms,
+                    startup_steps=startup_steps)
     st = Stepper(cfg)
     ref = ReferenceStepper(st)
     state = st.initial_state()
@@ -270,6 +321,37 @@ def test_fast_step_matches_plain_formulation_bitwise(form, linear_only):
         assert (state.u == u).all(), k
         assert (state.history.w == buf.w).all(), k
     assert state.history.t_now == buf.t_now
+
+
+@pytest.mark.parametrize("case", ["p1", "linear", "p1.5-mms"])
+def test_returned_states_own_their_arrays(case):
+    """The `u` and `prev_nl` of every returned state, the initial one and
+    those of the startup steps included, stay as they were returned while
+    50 more steps reuse the Stepper's work arrays and overwrite its solves'
+    right-hand sides."""
+    linear_only, p, mms, startup_steps = STEP_CASES[case]
+    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, p),
+                    FeedbackGains(0.5, 0.25, 0.01, 0.01),
+                    OFFGRID_KERNELS["constant"], N=64, dt=0.01, T_end=1.0,
+                    u0=lambda x: 2.0 * np.sin(np.asarray(x)),
+                    z0=lambda t: 0.3 * math.sin(2.0 * t + 0.4),
+                    linear_only=linear_only, mms_amplitude=mms,
+                    startup_steps=startup_steps)
+    st = Stepper(cfg)
+    state = st.initial_state()
+    kept = []
+    for _ in range(50):
+        kept.append((state, state.u.copy(),
+                     None if state.prev_nl is None else state.prev_nl.copy()))
+        state = st.step(state)
+    for _ in range(50):
+        state = st.step(state)
+    for k, (s, u, nl) in enumerate(kept):
+        assert (s.u.view(np.int64) == u.view(np.int64)).all(), k
+        if nl is None:
+            assert s.prev_nl is None and (linear_only or k == 0), k
+        else:
+            assert (s.prev_nl.view(np.int64) == nl.view(np.int64)).all(), k
 
 
 @pytest.mark.parametrize("N", [128, 2048])
