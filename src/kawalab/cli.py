@@ -466,11 +466,11 @@ def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
 
 
 def _sweep_worker(args) -> dict:
-    idx, doc, axis, value = args
+    """The sweep row of one job (index, document with the axis set, value)."""
+    idx, sub, value = args
     row = {"index": idx, "value": value, "status": "ok", "certified": "",
            "failures": "", "rate": "", "r2": "", "mms_error": ""}
     try:
-        sub = _sweep_axis_set(doc, axis, value)
         params, gains, kernel = build_model(sub)
         try:
             cert = build_certificate(params, gains, kernel)
@@ -506,7 +506,8 @@ def _worker_count(cli_value) -> int:
 def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     if not axis or not values:
         raise ConfigError("sweep requires --axis and --values")
-    for v in values:    # validate the axis, every value and the fields read
+    jobs = []
+    for i, v in enumerate(values):  # validate the axis, values, fields read
         if not math.isfinite(v):
             raise ConfigError(f"axis '{axis}': --values must be finite numbers,"
                               f" got {v!r}")
@@ -517,7 +518,7 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
             raise UnusedFieldError(f"sweep over axis '{axis}': {e}") from e
         except (ConfigError, ConditionError, ValueError):
             pass    # a bad value fails its own row
-    jobs = [(i, doc, axis, v) for i, v in enumerate(values)]
+        jobs.append((i, sub, v))
     if workers > 1 and len(jobs) > 1:
         # local import: the pool machinery is loaded only when a pool runs
         from concurrent.futures import ProcessPoolExecutor

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import model
-from .discretization import Grid, build_operator, mass_and_weighted_mass
+from .discretization import Grid, build_operator, weighted_mass
 from .model import PhysicalParams
 from .rng import Lcg64
 
@@ -44,11 +44,11 @@ class DiagnosticsRecord:
         return ",".join(repr(v) for v in vals)
 
 
-def state_scalars(u: np.ndarray, op) -> tuple:
-    """(E1, w0, ||u_xx||^2) of one state: the record values that need u."""
+def state_scalars(u: np.ndarray, w0: float, op) -> tuple:
+    """(E1, w0, ||u_xx||^2) of one state: the record values that need u.
+    `w0` is u_xx(t, 0) of u, the trace the state carries (`SimState.w0`)."""
     grid = op.grid
-    _, E1 = mass_and_weighted_mass(u, grid)
-    w0 = op.trace_uxx0(u)
+    E1 = weighted_mass(u, grid)
     # ||u_xx||^2 by centered differences; boundary values from the traces
     h = grid.h
     uext = np.concatenate(([0.0], u, [0.0]))
@@ -169,7 +169,6 @@ def check_apriori_estimates(result, config) -> dict:
         "est1": {"lhs": est1_lhs, "rhs_norm_sq": est1_rhs, "C_hat": C_hat},
         "est3": entry(est3_lhs, est3_rhs, True),
         "est4": entry(est4_lhs, est4_rhs, True),
-        "T": T,
     }
 
 
@@ -262,8 +261,7 @@ def estimate_observability(config, n_samples: int = 20, seed: int = 0):
     return min(ratios), ratios
 
 
-def spectral_residuals(L: float, N: int, n_pairs: int = 50,
-                       a: float = 1.0, b: float = 1.0):
+def spectral_residuals(L: float, N: int, n_pairs: int = 50):
     """Residual |u''(0)| / ||u|| over the lowest eigenpairs of the 5-BC problem.
 
     The operator u' + u''' - u''''' is discretized with u = u' = 0 at both
@@ -272,11 +270,11 @@ def spectral_residuals(L: float, N: int, n_pairs: int = 50,
     as a residual.  A minimum bounded away from zero certifies that only the
     trivial function satisfies all six conditions at this L.  `n_pairs`
     must be below N: taking all N eigenpairs of the N x N discretization
-    gives residuals near zero at every L.
+    gives residuals near zero at every L.  a = b = 1, as in the Lemma.
     """
     if n_pairs >= N:
         raise ValueError(f"n_pairs = {n_pairs} must be less than N = {N}")
-    params = PhysicalParams(a=a, b=b, L=L, p=1.0)
+    params = PhysicalParams(a=1.0, b=1.0, L=L, p=1.0)
     grid = Grid(N, L)
     op = build_operator(params, grid)
     vals, vecs = np.linalg.eig(op.dense())
@@ -290,10 +288,10 @@ def spectral_residuals(L: float, N: int, n_pairs: int = 50,
     return np.array(res)
 
 
-def spectral_lemma_test(L_values: Sequence[float], N: int, n_pairs: int = 50,
-                        a: float = 1.0, b: float = 1.0) -> dict:
+def spectral_lemma_test(L_values: Sequence[float], N: int,
+                        n_pairs: int = 50) -> dict:
     """Minimal sixth-condition residual per L (Lemma setting: a = b = 1)."""
-    return {L: float(spectral_residuals(L, N, n_pairs, a, b).min())
+    return {L: float(spectral_residuals(L, N, n_pairs).min())
             for L in L_values}
 
 

@@ -156,8 +156,6 @@ def build_operator(params: PhysicalParams, grid: Grid) -> SpatialOperator:
                            traceL_vec=traceL)
 
 
-def mass_and_weighted_mass(u: np.ndarray, grid: Grid):
-    """Composite-trapezoid (||u||^2, int x u^2 dx) with zero boundary values."""
-    h = grid.h
-    u2 = np.asarray(u) ** 2
-    return float(h * u2.sum()), float(h * (grid.x * u2).sum())
+def weighted_mass(u: np.ndarray, grid: Grid) -> float:
+    """Composite-trapezoid int x u^2 dx with zero boundary values."""
+    return float(grid.h * (grid.x * np.asarray(u) ** 2).sum())

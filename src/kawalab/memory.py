@@ -33,12 +33,12 @@ class HistoryBuffer:
     """The boundary trace w at spacing dt, and the clock t_now of its newest
     sample.
 
-    `trace` is every sample since the initial history, oldest first; `w`
-    is its last `maxlen` samples, which cover at least [t_now - tau2, t_now],
-    and `window()` gives them with their times.  `push` appends a sample and
+    `trace` is every sample since the initial history, oldest first.
+    `window()` gives its last `maxlen` samples, which cover at least
+    [t_now - tau2, t_now], with their times.  `push` appends a sample and
     never moves a stored one.  The array has room for `steps` pushes and
-    grows geometrically beyond them.  Single-writer: the time loop pushes once per completed
-    step.
+    grows geometrically beyond them.  Single-writer: the time loop pushes
+    once per completed step.
     """
 
     def __init__(self, dt: float, tau2: float, samples: np.ndarray,
@@ -72,11 +72,6 @@ class HistoryBuffer:
     def trace(self) -> np.ndarray:
         """Every stored sample, oldest first; trace[-1] is w(t_now).  A view."""
         return self._data[:self._n]
-
-    @property
-    def w(self) -> np.ndarray:
-        """The last `maxlen` samples, oldest first.  A view."""
-        return self._data[max(self._n - self.maxlen, 0):self._n]
 
     @property
     def span(self) -> float:

@@ -40,8 +40,8 @@ class MemoryKernel:
     """Kernel lam(s) on (tau1, tau2), positive and essentially bounded.
 
     Forms: 'constant' lam = c, 'exponential' lam = c*exp(-sigma*s), and
-    'tabulated' (piecewise-linear through `samples`).  The first two have
-    analytic moments; tabulated moments use quadrature to 1e-10.
+    'tabulated' (piecewise-linear through `samples`).  `lambda_integral` is
+    int lam: analytic for the first two, quadrature to 1e-10 for the third.
     """
 
     tau1: float
@@ -51,7 +51,6 @@ class MemoryKernel:
     sigma: float = 0.0
     samples: tuple = ()  # ((s_0, lam_0), ...) for form='tabulated'
     lambda_integral: float = field(init=False, default=0.0)
-    s_lambda_integral: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if not (0.0 < self.tau1 < self.tau2):
@@ -67,8 +66,7 @@ class MemoryKernel:
                 raise ValueError("kernel must be positive")
         elif self.c <= 0:
             raise ValueError("kernel must be positive")
-        object.__setattr__(self, "lambda_integral", self.moment("one"))
-        object.__setattr__(self, "s_lambda_integral", self.moment("s"))
+        object.__setattr__(self, "lambda_integral", self._integral())
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -82,49 +80,26 @@ class MemoryKernel:
             out = np.interp(s, xs, ys)
         return out if out.ndim else float(out)
 
-    def moment(self, weight: str = "one", theta: float = 0.0) -> float:
-        """Integral of w(s)*lam(s) over (tau1, tau2).
-
-        weight: 'one' -> w=1, 's' -> w=s, 's_exp' -> w = s*exp(-theta*s).
-        Analytic for constant/exponential forms; adaptive quadrature for
-        tabulated kernels (abs/rel tolerance 1e-10).
-        """
+    def _integral(self) -> float:
+        """Integral of lam over (tau1, tau2): analytic for the constant and
+        exponential forms; adaptive quadrature for tabulated kernels
+        (abs/rel tolerance 1e-10)."""
         t1, t2 = self.tau1, self.tau2
         if self.form == "constant":
-            if weight == "one":
-                return self.c * (t2 - t1)
-            if weight == "s":
-                return self.c * 0.5 * (t2 * t2 - t1 * t1)
-            if weight == "s_exp":
-                return self.c * _int_s_exp(theta, t1, t2)
-        elif self.form == "exponential":
-            if weight == "one":
-                return self.c * _int_exp(self.sigma, t1, t2)
-            if weight == "s":
-                return self.c * _int_s_exp(self.sigma, t1, t2)
-            if weight == "s_exp":
-                return self.c * _int_s_exp(self.sigma + theta, t1, t2)
-        else:
-            # local import: scipy.integrate (with scipy.special and
-            # scipy.optimize) costs ~0.3 s and only tabulated kernels use it
-            from scipy.integrate import quad
+            return self.c * (t2 - t1)
+        if self.form == "exponential":
+            return self.c * _int_exp(self.sigma, t1, t2)
+        # local import: scipy.integrate (with scipy.special and
+        # scipy.optimize) costs ~0.3 s and only tabulated kernels use it
+        from scipy.integrate import quad
 
-            if weight == "one":
-                w = lambda s: 1.0
-            elif weight == "s":
-                w = lambda s: s
-            elif weight == "s_exp":
-                w = lambda s: s * math.exp(-theta * s)
-            else:
-                raise ValueError(f"unknown weight {weight!r}")
-            pts = [p[0] for p in self.samples if t1 < p[0] < t2]
-            val, err = quad(lambda s: w(s) * float(self(s)), t1, t2,
-                            points=pts, epsabs=1e-10, epsrel=1e-10, limit=200)
-            if err > 1e-8 * (1.0 + abs(val)):
-                raise ConditionError(
-                    f"kernel moment quadrature achieved only {err:.3e}")
-            return val
-        raise ValueError(f"unknown weight {weight!r}")
+        pts = [p[0] for p in self.samples if t1 < p[0] < t2]
+        val, err = quad(lambda s: float(self(s)), t1, t2,
+                        points=pts, epsabs=1e-10, epsrel=1e-10, limit=200)
+        if err > 1e-8 * (1.0 + abs(val)):
+            raise ConditionError(
+                f"kernel integral quadrature achieved only {err:.3e}")
+        return val
 
 
 def _int_exp(sig: float, t1: float, t2: float) -> float:
@@ -134,14 +109,6 @@ def _int_exp(sig: float, t1: float, t2: float) -> float:
     if abs(sig) < 1e-12:
         return t2 - t1
     return (math.exp(-sig * t1) - math.exp(-sig * t2)) / sig
-
-
-def _int_s_exp(sig: float, t1: float, t2: float) -> float:
-    # integral of s*exp(-sig*s) on (t1, t2)
-    if abs(sig) < 1e-12:
-        return 0.5 * (t2 * t2 - t1 * t1)
-    f = lambda t: (sig * t + 1.0) * math.exp(-sig * t) / (sig * sig)
-    return f(t1) - f(t2)
 
 
 @dataclass(frozen=True)
@@ -310,11 +277,11 @@ class Certificate:
 
 
 def build_certificate(params: PhysicalParams, gains: FeedbackGains,
-                      kernel: MemoryKernel, r: float | None = None) -> Certificate:
+                      kernel: MemoryKernel) -> Certificate:
     """Evaluate every condition; collect failures instead of raising.
 
-    `r` is the initial-data norm the decay rate is certified for; defaults to
-    half the smallness radius when the length condition holds.
+    The decay rate is certified for initial data of norm r = r_max / 2 (NaN
+    when the length condition fails).
     """
     failures = []
     value, gain_ok = check_gain_condition(gains, kernel)
@@ -335,15 +302,12 @@ def build_certificate(params: PhysicalParams, gains: FeedbackGains,
     rmax = r_max(params) if length_ok else float("nan")
     if length_ok and not rmax > 0.0:
         failures.append("r_max_positive")
-    if r is None:
-        r = 0.5 * rmax if length_ok else float("nan")
+    r = 0.5 * rmax
     mu = float("nan")
-    if not failures and r <= rmax:
+    if not failures:
         mu = mu_guaranteed(params, gains, kernel, r)
         if not mu > 0.0:
             failures.append("mu_guaranteed_positive")
-    elif not failures:
-        failures.append("r_exceeds_r_max")
     return Certificate(
         gain_condition_value=value, gain_condition_ok=gain_ok,
         critical_length=Lc, length_ok=length_ok,

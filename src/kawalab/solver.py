@@ -292,10 +292,10 @@ class Stepper:
     step; `step` is the single time advance.  The work arrays make a
     Stepper single-threaded."""
 
-    def __init__(self, config: SimConfig, op: SpatialOperator | None = None):
+    def __init__(self, config: SimConfig):
         self.config = config
         self.grid = Grid(config.N, config.params.L)
-        self.op = op if op is not None else build_operator(config.params, self.grid)
+        self.op = build_operator(config.params, self.grid)
         N, dt = config.N, config.dt
         alpha = config.gains.alpha
         # I - dt/2 A as row blocks (r0, r1, c0, c1, B) on the windows of
@@ -460,7 +460,6 @@ class TimeSeries:
 
     t: np.ndarray
     w: np.ndarray          # u_xx(t, 0)
-    F: np.ndarray          # feedback value
     l2: np.ndarray         # ||u||^2
     memory: np.ndarray     # int lam(s) z(t,1,s) ds
     lam_z1sq: np.ndarray   # int lam(s) z(t,1,s)^2 ds
@@ -482,10 +481,11 @@ def run(config: SimConfig) -> RunResult:
     """Advance to T_end, recording diagnostics every record_every steps.
 
     The loop stores t and ||u||^2 of every step, and the
-    `diagnostics.state_scalars` of every record step; the history buffer
-    keeps the trace w.  The history functionals of the series and the
-    records come from those after the loop.  Deterministic: identical
-    configs produce bitwise-identical trajectories.
+    `diagnostics.state_scalars` of every record step, from the state's u and
+    its carried trace w0; the history buffer keeps the trace w.  The history
+    functionals of the series and the records come from those after the
+    loop.  Deterministic: identical configs produce bitwise-identical
+    trajectories.
 
     The time loop runs under one `np.errstate` that ignores overflow and
     invalid operations: a diverging state overflows ||u||^2 some steps
@@ -512,7 +512,8 @@ def run(config: SimConfig) -> RunResult:
         l2[0] = h * np.add.reduce(np.square(state.u, out=sq))
         if config.record_every > 0:
             rec_steps.append(0)
-            rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
+            rec_scalars.append(diagnostics.state_scalars(
+                state.u, state.w0, st.op))
         for k in range(1, n_steps + 1):
             try:
                 state = st.step(state)
@@ -533,14 +534,12 @@ def run(config: SimConfig) -> RunResult:
             if config.record_every > 0 and (
                     state.step_index % config.record_every == 0 or k == n_steps):
                 rec_steps.append(k)
-                rec_scalars.append(diagnostics.state_scalars(state.u, st.op))
+                rec_scalars.append(diagnostics.state_scalars(
+                    state.u, state.w0, st.op))
 
     trace = state.history.trace
-    w = trace[i0:]
     tv = trace_series(trace[i0 - K:], st.trace_weights)
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = config.gains.alpha * w + config.gains.beta * tv.memory
-    series = TimeSeries(t=t, w=w, F=F, l2=l2, memory=tv.memory,
+    series = TimeSeries(t=t, w=trace[i0:], l2=l2, memory=tv.memory,
                         lam_z1sq=tv.lam_sq, slam_z1sq=tv.slam_sq,
                         z_plain=tv.z_plain, z_exp=tv.z_exp)
     records = diagnostics.build_records(config, series, rec_steps, rec_scalars)

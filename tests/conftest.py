@@ -136,7 +136,7 @@ def det_P_closed_form(gains: FeedbackGains, kernel: MemoryKernel) -> float:
 
 def copy_history(buf: HistoryBuffer) -> HistoryBuffer:
     """A snapshot of `buf` that later pushes leave unchanged."""
-    return HistoryBuffer(buf.dt, buf.tau2, buf.w, buf.t_now)
+    return HistoryBuffer(buf.dt, buf.tau2, buf.window()[1], buf.t_now)
 
 
 def w_at(buf: HistoryBuffer, t):
@@ -221,7 +221,7 @@ def weighted_trace(buf: HistoryBuffer, weights: TraceWeights) -> TraceValues:
     per-time form of `memory.trace_series`."""
     if buf.dt != weights.dt:
         raise ValueError("history buffer and weights have different dt")
-    w = buf.w
+    w = buf.window()[1]
     n, K = len(w), weights.K
     if n <= K:
         raise ValueError("insufficient history span")

@@ -202,7 +202,7 @@ def _dissipation_error(dt):
     # Cauchy-Schwarz defect D = |beta| (int lam z1^2 - I^2 / int lam) >= 0:
     # the exact discrete energy flux is <PV,V> minus D
     s = result.series
-    I = (s.F - cfg.gains.alpha * s.w) / cfg.gains.beta
+    I = s.memory
     gap = abs(cfg.gains.beta) * (s.lam_z1sq - I ** 2 / cfg.kernel.lambda_integral)
     phi = q - gap
     residual = float(np.abs(dEdt[sel] - 0.5 * (phi[1:] + phi[:-1])[sel]).max())

@@ -597,7 +597,8 @@ def test_sweep_csv_quotes_failure_messages(tmp_path, reference_config_path,
     message = 'bad value, "quoted"\nsecond line'
 
     def fake_worker(args):
-        idx, _, _, value = args
+        idx, sub, value = args
+        assert sub["gains"]["alpha"] == value
         return {"index": idx, "value": value, "status": "ok" if idx else "aborted",
                 "certified": "true", "failures": "" if idx else message,
                 "rate": "0.25" if idx else "", "r2": "0.5" if idx else "",
@@ -642,7 +643,7 @@ def test_sweep_pool_no_larger_than_job_count(tmp_path, reference_config_path,
             return map(fn, jobs)
 
     def fake_worker(args):
-        idx, _, _, value = args
+        idx, _, value = args
         return {"index": idx, "value": value, "status": "ok", "certified": "",
                 "failures": "", "rate": "", "r2": "", "mms_error": ""}
 
@@ -834,12 +835,12 @@ import sys
 from kawalab.model import MemoryKernel
 before = "scipy.integrate" in sys.modules
 k = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
-                 samples=((0.5, 1.0), (2.5, 1.0)))
-print(before, "scipy.integrate" in sys.modules, repr(k.moment("s_exp", 1.0)))
+                 samples=((0.5, 1.0), (2.5, 3.0)))
+print(before, "scipy.integrate" in sys.modules, repr(k.lambda_integral))
 """).split()
     assert out[:2] == ["False", "True"]
-    constant = MemoryKernel(tau1=1.0, tau2=2.0).moment("s_exp", 1.0)
-    assert float(out[2]) == pytest.approx(constant, rel=1e-9)
+    # lam(s) = s + 0.5 on (1, 2)
+    assert float(out[2]) == pytest.approx(2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("first", ["kawalab.solver", "scipy.linalg"])
@@ -878,7 +879,7 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch):
 
 
 def test_tabulated_run_identical_after_scipy_linalg_loads(tmp_path):
-    """A tabulated kernel's moments load scipy.integrate, which imports
+    """A tabulated kernel's integral loads scipy.integrate, which imports
     scipy.linalg on top of the module the solver registered; series.csv
     equals that of a process that imported scipy.linalg before kawalab."""
     doc = doc_with(numerics={"N": 48, "T_end": 2.0})

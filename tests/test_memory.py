@@ -48,7 +48,7 @@ def test_eviction_bounds_length():
     cap = math.ceil(tau2 / dt) + 3
     for k in range(500):
         buf.push(float(k))
-        assert len(buf.w) <= cap
+        assert len(buf.window()[1]) <= cap
         assert buf.span >= tau2
 
 
@@ -276,15 +276,16 @@ def test_trace_series_matches_weighted_trace(form, tau1, tau2):
 
 
 def test_trace_keeps_every_sample():
-    """`trace` is the initial samples followed by every pushed value; `w` is
-    its last maxlen samples, or the whole trace while it is shorter."""
+    """`trace` is the initial samples followed by every pushed value;
+    `window()` gives its last maxlen samples, or the whole trace while it is
+    shorter."""
     init = np.linspace(-1.0, 0.0, 12)
     buf = HistoryBuffer(0.1, 1.0, init, 0.0)
     assert buf.maxlen == 13
     pushed = []
     for k in range(40):
         assert (buf.trace == np.concatenate((init, pushed))).all(), k
-        assert (buf.w == buf.trace[-buf.maxlen:]).all(), k
+        assert (buf.window()[1] == buf.trace[-buf.maxlen:]).all(), k
         buf.push(float(k))
         pushed.append(float(k))
 
@@ -296,7 +297,7 @@ def test_from_initial_reserves_room_for_its_steps():
     for k in range(50):
         buf.push(float(k))
         assert buf.trace.base is base, k
-    assert buf.trace[-1] == 49.0 and buf.w[-2] == 48.0
+    assert buf.trace[-1] == 49.0 and buf.trace[-2] == 48.0
 
 
 def test_push_past_reserved_room_keeps_every_sample():
@@ -306,4 +307,4 @@ def test_push_past_reserved_room_keeps_every_sample():
     for x in values:
         buf.push(x)
     assert (buf.trace == np.concatenate((init, values))).all()
-    assert (buf.w == values[-buf.maxlen:]).all()
+    assert (buf.window()[1] == values[-buf.maxlen:]).all()

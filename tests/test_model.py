@@ -1,4 +1,4 @@
-"""Closed-form certificate arithmetic: matrices, moments, rates."""
+"""Closed-form certificate arithmetic: matrices, kernel integrals, rates."""
 
 import math
 
@@ -156,30 +156,43 @@ def test_certificate_collects_failures(ref_kernel):
 
 
 # ---------------------------------------------------------------------------
-# kernel moments
+# kernel integrals
 
 
 def test_constant_kernel_moments():
     k = MemoryKernel(tau1=1.0, tau2=2.0, form="constant", c=1.0)
     assert k.lambda_integral == pytest.approx(1.0, rel=1e-14)
-    assert k.s_lambda_integral == pytest.approx(1.5, rel=1e-14)
-    assert k.moment("s_exp", theta=0.0) == pytest.approx(1.5, rel=1e-14)
 
 
 def test_exponential_kernel_moments():
     k = MemoryKernel(tau1=1.0, tau2=2.0, form="exponential", c=1.0, sigma=1.0)
     exact = math.exp(-1.0) - math.exp(-2.0)
     assert k.lambda_integral == pytest.approx(exact, rel=1e-14)
-    exact_s = 2.0 * math.exp(-1.0) - 3.0 * math.exp(-2.0)
-    assert k.s_lambda_integral == pytest.approx(exact_s, rel=1e-14)
 
 
 def test_tabulated_kernel_matches_constant():
     k = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
                      samples=((0.5, 1.0), (1.5, 1.0), (2.5, 1.0)))
     assert k.lambda_integral == pytest.approx(1.0, rel=1e-9)
-    assert k.s_lambda_integral == pytest.approx(1.5, rel=1e-9)
     assert float(k(1.7)) == pytest.approx(1.0)
+
+
+def test_tabulated_kernel_integrates_with_one_quadrature(monkeypatch):
+    """Building a tabulated kernel makes one `quad` call: int lam."""
+    import scipy.integrate
+
+    calls = []
+    quad = scipy.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    k = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
+                     samples=((0.5, 1.0), (1.5, 2.0), (2.5, 1.0)))
+    assert calls == [(1.0, 2.0)]
+    assert k.lambda_integral == pytest.approx(1.75, rel=1e-9)
 
 
 def test_kernel_validation():

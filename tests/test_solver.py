@@ -21,7 +21,7 @@ from kawalab.discretization import BANDWIDTH
 from kawalab.memory import HistoryBuffer
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
 from kawalab.solver import (SimConfig, SimState, SolverAbort, Stepper,
-                            _build_mms, run)
+                            _build_mms, _ImplicitSystem, run)
 
 
 def test_dt_exceeding_tau1_rejected():
@@ -319,7 +319,7 @@ def test_fast_step_matches_plain_formulation_bitwise(form, case):
         state = st.step(state)
         u, prev_nl = ref.step(u, buf, k, prev_nl)
         assert (state.u == u).all(), k
-        assert (state.history.w == buf.w).all(), k
+        assert (state.history.window()[1] == buf.window()[1]).all(), k
     assert state.history.t_now == buf.t_now
 
 
@@ -484,7 +484,7 @@ def test_singular_implicit_system_aborts():
     bands[BANDWIDTH, 5] = -1.0 / (0.5 * cfg.dt)    # I + dt/2 A has a zero row
     op = replace(st.op, bands=bands)
     with pytest.raises(SolverAbort, match="singular implicit system"):
-        Stepper(cfg, op)
+        _ImplicitSystem(op, cfg.dt, cfg.gains.alpha, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -496,16 +496,15 @@ def sampled_series(cfg):
     ||u||^2 and `weighted_trace` of the live buffer."""
     st = Stepper(cfg)
     state = st.initial_state()
-    cols = {k: [] for k in ("t", "w", "F", "l2", "lam_z1sq", "slam_z1sq",
-                            "z_plain")}
+    cols = {k: [] for k in ("t", "w", "memory", "l2", "lam_z1sq",
+                            "slam_z1sq", "z_plain")}
 
     def sample(state):
         buf = state.history
-        w = float(buf.w[-1])
         tv = weighted_trace(buf, st.trace_weights)
         cols["t"].append(state.t_now)
-        cols["w"].append(w)
-        cols["F"].append(cfg.gains.alpha * w + cfg.gains.beta * tv.memory)
+        cols["w"].append(float(buf.trace[-1]))
+        cols["memory"].append(tv.memory)
         cols["l2"].append(float(st.grid.h * (state.u ** 2).sum()))
         cols["lam_z1sq"].append(tv.lam_sq)
         cols["slam_z1sq"].append(tv.slam_sq)
@@ -531,7 +530,7 @@ def test_series_matches_per_step_sampling(form, startup_steps):
     want = sampled_series(cfg)
     for name in ("t", "w", "l2"):
         assert (getattr(series, name) == want[name]).all(), name
-    for name in ("F", "lam_z1sq", "slam_z1sq", "z_plain"):
+    for name in ("memory", "lam_z1sq", "slam_z1sq", "z_plain"):
         got = getattr(series, name)
         assert got.shape == want[name].shape
         assert np.abs(got - want[name]).max() <= \
