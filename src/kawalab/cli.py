@@ -334,25 +334,30 @@ def _write_text(path: str, text: str):
         f.write(text)
 
 
-def _json_default(o):
-    if isinstance(o, np.generic):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o).__name__}")
+def _plain(o):
+    """`o` with numpy values as Python ones and every non-finite float as
+    None: strict JSON has null, and no NaN or Infinity."""
+    if isinstance(o, (np.ndarray, np.generic)):
+        o = o.tolist()
+    if isinstance(o, dict):
+        return {key: _plain(v) for key, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_plain(v) for v in o]
+    return None if isinstance(o, float) and not math.isfinite(o) else o
 
 
 def _dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default)
+    return json.dumps(_plain(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write_json(path: str, obj: dict):
     _write_text(path, _dumps(obj) + "\n")
 
 
-def write_series_csv(path: str, records) -> None:
-    lines = [diagnostics.DiagnosticsRecord.CSV_HEADER]
-    lines.extend(r.csv_row() for r in records)
+def write_series_csv(path: str, records: np.recarray) -> None:
+    """The records as CSV; each value is the `repr` of a Python float."""
+    lines = [",".join(diagnostics.RECORD.names)]
+    lines.extend(",".join(map(repr, row)) for row in records.tolist())
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -387,8 +392,8 @@ def _decay_fit(result, config: SimConfig) -> diagnostics.DecayFit:
 def _energy_monotone(records) -> tuple:
     """(largest energy increment between records, its tolerance 1e-10 E(0),
     whether every increment stays within it)."""
-    inc = diagnostics.energy_increments(records)
-    tol = 1e-10 * (records[0].E if records else 0.0)
+    inc = np.diff(records.E)
+    tol = 1e-10 * (float(records.E[0]) if len(records) else 0.0)
     if not inc.size:
         return 0.0, tol, True
     return float(inc.max()), tol, bool(inc.max() <= tol)
@@ -398,7 +403,8 @@ def _run_report(result, config: SimConfig, cert: Certificate) -> dict:
     report = {"certificate": cert.to_dict(),
               "n_records": len(result.records),
               "h_norm0_sq": result.h_norm0_sq,
-              "E_final": result.records[-1].E if result.records else None}
+              "E_final": (float(result.records.E[-1]) if len(result.records)
+                          else None)}
     try:
         fit = _decay_fit(result, config)
         report["decay_fit"] = {"t_window": list(fit.t_window), "rate": fit.rate,
@@ -465,11 +471,16 @@ def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
     return out
 
 
+# the columns of sweep.csv, and the keys of a sweep row besides its index
+SWEEP_COLUMNS = ("value", "status", "certified", "failures", "rate", "r2",
+                 "mms_error")
+
+
 def _sweep_worker(args) -> dict:
     """The sweep row of one job (index, document with the axis set, value)."""
     idx, sub, value = args
-    row = {"index": idx, "value": value, "status": "ok", "certified": "",
-           "failures": "", "rate": "", "r2": "", "mms_error": ""}
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(index=idx, value=value, status="ok")
     try:
         params, gains, kernel = build_model(sub)
         try:
@@ -529,12 +540,12 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     else:
         rows = [_sweep_worker(j) for j in jobs]
     rows.sort(key=lambda r: r["index"])  # deterministic: input order
-    cols = ("status", "certified", "failures", "rate", "r2", "mms_error")
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(("value",) + cols)
+    writer.writerow(SWEEP_COLUMNS)
     for r in rows:
-        writer.writerow([repr(float(r["value"]))] + [r[c] for c in cols])
+        r["value"] = repr(float(r["value"]))
+        writer.writerow(r[c] for c in SWEEP_COLUMNS)
     _write_text(os.path.join(_ensure_out(out), "sweep.csv"), text.getvalue())
     n_ok = sum(1 for r in rows if r["status"] == "ok")
     print(f"sweep: {n_ok}/{len(rows)} runs succeeded")

@@ -23,25 +23,10 @@ from .model import PhysicalParams
 from .rng import Lcg64
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    t: float
-    E: float
-    E1: float
-    E2: float
-    xi: float
-    w0: float
-    F: float
-    qform: float
-    l2: float
-    h2seminorm: float
-
-    CSV_HEADER = "t,E,E1,E2,xi,w0,F,qform,l2,h2seminorm"
-
-    def csv_row(self) -> str:
-        vals = (self.t, self.E, self.E1, self.E2, self.xi, self.w0, self.F,
-                self.qform, self.l2, self.h2seminorm)
-        return ",".join(repr(v) for v in vals)
+# one energy record: the columns of series.csv, in their order
+RECORD = np.dtype([(name, np.float64) for name in
+                   ("t", "E", "E1", "E2", "xi", "w0", "F", "qform", "l2",
+                    "h2seminorm")])
 
 
 def state_scalars(u: np.ndarray, w0: float, op) -> tuple:
@@ -61,19 +46,18 @@ def state_scalars(u: np.ndarray, w0: float, op) -> tuple:
 
 
 def build_records(config, series, steps: Sequence[int],
-                  scalars: Sequence[tuple]) -> list:
-    """The energy records at the time steps `steps` of a run.
+                  scalars: Sequence[tuple]) -> np.recarray:
+    """The energy records at the time steps `steps` of a run, one `RECORD`
+    row each: `records.E` is a column, `records[k].E` one value.
 
     `series` holds the run's per-step t, ||u||^2 and history functionals;
     `scalars` holds the `state_scalars` of each record's state.
     w0 comes from the state, not from the series: at step 0 the series
     holds the history sample z0(0), which need not equal u0''(0).
     """
-    if not steps:
-        return []
     gains = config.gains
-    i = np.asarray(steps)
-    E1, w0, h2 = np.array(scalars).T
+    i = np.asarray(steps, dtype=int)
+    E1, w0, h2 = np.array(scalars, dtype=float).reshape(-1, 3).T
     l2, mem = series.l2[i], series.memory[i]
     P = model.assemble_P(gains, config.kernel)
     absb = abs(gains.beta)
@@ -87,8 +71,8 @@ def build_records(config, series, steps: Sequence[int],
         # D = |beta| (int lam z1^2 - mem^2 / int lam)
         qform = ((w0 * P[0, 0] + mem * P[1, 0]) * w0
                  + (w0 * P[0, 1] + mem * P[1, 1]) * mem)
-    cols = zip(series.t[i], E, E1, E2, xi, w0, F, qform, l2, h2)
-    return [DiagnosticsRecord(*map(float, c)) for c in cols]
+    return np.rec.fromarrays((series.t[i], E, E1, E2, xi, w0, F, qform, l2,
+                              h2), dtype=RECORD)
 
 
 @dataclass(frozen=True)
@@ -99,39 +83,34 @@ class DecayFit:
     kappa_hat: float
 
 
-def fit_decay(trajectory: Sequence[DiagnosticsRecord], window: tuple) -> DecayFit:
+def fit_decay(records: np.recarray, window: tuple) -> DecayFit:
     """Least-squares line on (t, log E); rate = -slope/2 for E ~ C e^{-2 mu t}."""
     t0, t1 = window
-    pts = [(r.t, r.E) for r in trajectory
-           if t0 <= r.t <= t1 and r.E > 1e-300]
-    if len(pts) < 10:
+    t, E = records.t, records.E
+    keep = (t0 <= t) & (t <= t1) & (E > 1e-300)
+    if keep.sum() < 10:
         raise ValueError("nothing to fit: need >= 10 records with E > 0 in window")
-    t = np.array([p[0] for p in pts])
-    logE = np.log([p[1] for p in pts])
+    t = t[keep]
+    logE = np.log(E[keep])
     slope, intercept = np.polyfit(t, logE, 1)
     resid = logE - (slope * t + intercept)
     ss_tot = float(((logE - logE.mean()) ** 2).sum())
     r2 = 1.0 - float((resid ** 2).sum()) / ss_tot if ss_tot > 0 else 1.0
-    E_first = trajectory[0].E
+    E_first = E[0]
     kappa = math.exp(intercept) / E_first if E_first > 0 else float("nan")
     return DecayFit(t_window=(t0, t1), rate=-0.5 * float(slope),
                     r2=max(0.0, min(1.0, r2)), kappa_hat=float(kappa))
 
 
-def sandwich_margins(records: Sequence[DiagnosticsRecord], params, gains):
-    """Violations of E <= xi <= (1 + max{L mu1, mu2}) E, slack 1e-12 (1 + E)."""
+def sandwich_margins(records: np.recarray, params, gains):
+    """Violations of E <= xi <= (1 + max{L mu1, mu2}) E, slack 1e-12 (1 + E).
+    A NaN violation counts as none."""
     top = 1.0 + max(params.L * gains.mu1, gains.mu2)
-    worst_low = worst_high = 0.0
-    for r in records:
-        slack = 1e-12 * (1.0 + r.E)
-        worst_low = max(worst_low, r.E - r.xi - slack)
-        worst_high = max(worst_high, r.xi - top * r.E - slack)
-    return worst_low, worst_high
-
-
-def energy_increments(records: Sequence[DiagnosticsRecord]) -> np.ndarray:
-    E = np.array([r.E for r in records])
-    return np.diff(E)
+    E, xi = records.E, records.xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = 1e-12 * (1.0 + E)
+        low, high = E - xi - slack, xi - top * E - slack
+    return tuple(float(np.fmax.reduce(v, initial=0.0)) for v in (low, high))
 
 
 def check_apriori_estimates(result, config) -> dict:
@@ -146,8 +125,8 @@ def check_apriori_estimates(result, config) -> dict:
     s = result.series
     T = float(s.t[-1])
     int_w2 = float(np.trapezoid(s.w ** 2, s.t))
-    int_lam_z1 = float(np.trapezoid(s.lam_z1sq, s.t))
-    int_slam_z1 = float(np.trapezoid(s.slam_z1sq, s.t))
+    int_lam_z1 = float(np.trapezoid(s.lam_sq, s.t))
+    int_slam_z1 = float(np.trapezoid(s.slam_sq, s.t))
     int_l2 = float(np.trapezoid(s.l2, s.t))
 
     est1_lhs = int_w2 + int_slam_z1
@@ -256,7 +235,7 @@ def estimate_observability(config, n_samples: int = 20, seed: int = 0):
         res = solver.run(replace(config, u0=u0, z0=z0, record_every=0,
                                  startup_steps=0))
         s = res.series
-        out = float(np.trapezoid(s.w ** 2 + s.slam_z1sq, s.t))
+        out = float(np.trapezoid(s.w ** 2 + s.slam_sq, s.t))
         ratios.append(out / res.h_norm0_sq)
     return min(ratios), ratios
 

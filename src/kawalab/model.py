@@ -10,7 +10,7 @@ closed forms, never from a sampled eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -255,25 +255,11 @@ class Certificate:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "gain_condition_value": self.gain_condition_value,
-            "gain_condition_ok": self.gain_condition_ok,
-            "critical_length": self.critical_length,
-            "length_ok": self.length_ok,
-            "P": self.P.tolist(),
-            "P_star": self.P_star.tolist(),
-            "T": self.T.tolist(),
-            "detP": self.detP,
-            "trP": self.trP,
-            "detT": self.detT,
-            "trT": self.trT,
-            "T_negative_definite": self.T_negative_definite,
-            "r_max": self.r_max,
-            "r": self.r,
-            "mu_guaranteed": self.mu_guaranteed,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+        """Every field by name, arrays and tuples as lists, and `ok`."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update((name, v.tolist() if isinstance(v, np.ndarray) else list(v))
+                 for name, v in d.items() if isinstance(v, (np.ndarray, tuple)))
+        return {**d, "ok": self.ok}
 
 
 def build_certificate(params: PhysicalParams, gains: FeedbackGains,

@@ -456,21 +456,22 @@ class Stepper:
 
 @dataclass
 class TimeSeries:
-    """Per-step scalars, for trapezoid time integrals in the diagnostics."""
+    """Per-step scalars, for trapezoid time integrals in the diagnostics;
+    the history functionals keep their `memory.TraceValues` names."""
 
     t: np.ndarray
     w: np.ndarray          # u_xx(t, 0)
     l2: np.ndarray         # ||u||^2
     memory: np.ndarray     # int lam(s) z(t,1,s) ds
-    lam_z1sq: np.ndarray   # int lam(s) z(t,1,s)^2 ds
-    slam_z1sq: np.ndarray  # int s lam(s) z(t,1,s)^2 ds
+    lam_sq: np.ndarray     # int lam(s) z(t,1,s)^2 ds
+    slam_sq: np.ndarray    # int s lam(s) z(t,1,s)^2 ds
     z_plain: np.ndarray    # int lam(s) int_0^s z(t,1,sigma)^2 dsigma ds
     z_exp: np.ndarray      # the same with the weight exp(-delta sigma)
 
 
 @dataclass
 class RunResult:
-    records: list
+    records: np.recarray   # one `diagnostics.RECORD` row per record step
     final: SimState
     series: TimeSeries
     h_norm0_sq: float
@@ -539,9 +540,7 @@ def run(config: SimConfig) -> RunResult:
 
     trace = state.history.trace
     tv = trace_series(trace[i0 - K:], st.trace_weights)
-    series = TimeSeries(t=t, w=trace[i0:], l2=l2, memory=tv.memory,
-                        lam_z1sq=tv.lam_sq, slam_z1sq=tv.slam_sq,
-                        z_plain=tv.z_plain, z_exp=tv.z_exp)
+    series = TimeSeries(t=t, w=trace[i0:], l2=l2, **tv._asdict())
     records = diagnostics.build_records(config, series, rec_steps, rec_scalars)
     h0 = l2[0] + abs(config.gains.beta) * series.z_plain[0]
     mms_err = None

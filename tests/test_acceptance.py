@@ -138,7 +138,7 @@ def test_criterion_03_mms_convergence():
 
 def test_criterion_04_energy_monotonicity(linear_run):
     cfg, result = linear_run
-    E = np.array([r.E for r in result.records])
+    E = result.records.E
     tol = 1e-10 * E[0]
     worst = float(np.diff(E).max())
     ok = worst <= tol
@@ -191,9 +191,7 @@ def _dissipation_error(dt):
                                record_every=1)
     result = run(cfg)
     recs = result.records
-    t = np.array([r.t for r in recs])
-    E = np.array([r.E for r in recs])
-    q = np.array([r.qform for r in recs])
+    t, E, q = recs.t, recs.E, recs.qform
     dEdt = np.diff(E) / np.diff(t)
     qmid = 0.5 * (q[1:] + q[:-1])
     mask = t[1:] >= 2.0
@@ -203,7 +201,7 @@ def _dissipation_error(dt):
     # the exact discrete energy flux is <PV,V> minus D
     s = result.series
     I = s.memory
-    gap = abs(cfg.gains.beta) * (s.lam_z1sq - I ** 2 / cfg.kernel.lambda_integral)
+    gap = abs(cfg.gains.beta) * (s.lam_sq - I ** 2 / cfg.kernel.lambda_integral)
     phi = q - gap
     residual = float(np.abs(dEdt[sel] - 0.5 * (phi[1:] + phi[:-1])[sel]).max())
     margin = float((dEdt - qmid)[mask].max())

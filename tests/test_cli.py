@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -349,6 +350,28 @@ def test_exit_2_length_condition_named(tmp_path, capsys):
     assert "length_condition" in capsys.readouterr().err
 
 
+def _strict_json(text):
+    """`text` parsed as RFC 8259 JSON: NaN and Infinity are errors."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_failed_length_certificate_is_strict_json(tmp_path, capsys):
+    """With the length condition failed, r, r_max and mu_guaranteed are not
+    finite; certificate.json and stdout hold them as null."""
+    doc = doc_with(model={"L": 10.0})
+    rc = main(["check", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    stdout = _strict_json(capsys.readouterr().out)
+    payload = _strict_json((tmp_path / "certificate.json").read_text())
+    assert stdout == payload
+    assert payload["failures"] == ["length_condition"]
+    for key in ("r", "r_max", "mu_guaranteed"):
+        assert payload[key] is None, key
+
+
 def test_exit_3_solver_abort(tmp_path, capsys):
     doc = doc_with(numerics={"dt": 0.9, "T_end": 40.0, "N": 64})
     doc["initial"]["u0"] = {"type": "sine", "mode": 1, "amplitude": 1e8}
@@ -414,6 +437,32 @@ def test_run_zero_data_nothing_to_fit(tmp_path):
                    zip(range(10), row.split(",")) if k != 0)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "nothing to fit" in report["decay_fit"]["error"]
+
+
+def test_run_without_records(tmp_path):
+    """record_every = 0: series.csv holds the header alone, and report.json
+    has no records and no final energy."""
+    doc = short_run_doc()
+    doc["numerics"]["record_every"] = 0
+    assert main(["run", "--config", write_doc(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "series.csv").read_text()
+    assert text == "t,E,E1,E2,xi,w0,F,qform,l2,h2seminorm\n"
+    report = _strict_json((tmp_path / "out" / "report.json").read_text())
+    assert report["n_records"] == 0
+    assert report["E_final"] is None
+    assert report["invariants"]["energy_monotone"] is True
+
+
+def test_energy_monotone_sees_a_rise_of_2e_10():
+    """An energy that rises by 2e-10 E(0) exceeds the tolerance 1e-10 E(0)."""
+    E = np.array([1.0, 0.5, 0.5 + 2e-10])
+    records = np.rec.fromarrays([E], names="E")
+    worst, tol, ok = cli._energy_monotone(records)
+    assert worst == pytest.approx(2e-10, rel=1e-5)
+    assert tol == 1e-10
+    assert not ok
+    assert cli._energy_monotone(records[:2]) == (-0.5, 1e-10, True)
 
 
 # ---------------------------------------------------------------------------

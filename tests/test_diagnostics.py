@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ import pytest
 
 from conftest import reference_sim_config
 from kawalab import diagnostics
-from kawalab.diagnostics import (DecayFit, DiagnosticsRecord,
-                                 check_apriori_estimates,
+from kawalab.cli import write_series_csv
+from kawalab.diagnostics import (RECORD, DecayFit, check_apriori_estimates,
                                  estimate_observability, fit_decay,
                                  random_initial_data, sandwich_margins,
                                  spectral_lemma_test, spectral_residuals,
@@ -19,13 +20,17 @@ from kawalab.diagnostics import (DecayFit, DiagnosticsRecord,
 from kawalab.solver import run
 
 
+def _records(**columns):
+    """Records with the given columns; every other column is zero."""
+    n = len(next(iter(columns.values())))
+    return np.rec.fromarrays([columns.get(name, np.zeros(n))
+                              for name in RECORD.names], dtype=RECORD)
+
+
 def _fake_records(rate, kappa=1.0, n=60, T=30.0):
-    out = []
-    for t in np.linspace(0.0, T, n):
-        E = kappa * math.exp(-2.0 * rate * t)
-        out.append(DiagnosticsRecord(t=t, E=E, E1=0.0, E2=0.0, xi=E, w0=0.0,
-                                     F=0.0, qform=0.0, l2=E, h2seminorm=0.0))
-    return out
+    t = np.linspace(0.0, T, n)
+    E = kappa * np.exp(-2.0 * rate * t)
+    return _records(t=t, E=E, xi=E, l2=E)
 
 
 def test_fit_decay_recovers_exact_rate():
@@ -36,14 +41,14 @@ def test_fit_decay_recovers_exact_rate():
 
 
 def test_fit_decay_windowing():
-    recs = _fake_records(0.1)[:30] + _fake_records(0.5, kappa=5.0)[30:]
+    recs = np.rec.array(np.concatenate((_fake_records(0.1)[:30],
+                                        _fake_records(0.5, kappa=5.0)[30:])))
     fit = fit_decay(recs, (16.0, 30.0))
     assert fit.rate == pytest.approx(0.5, rel=1e-6)
 
 
 def test_fit_decay_nothing_to_fit():
-    recs = [DiagnosticsRecord(t=float(k), E=0.0, E1=0, E2=0, xi=0, w0=0, F=0,
-                              qform=0, l2=0, h2seminorm=0) for k in range(40)]
+    recs = _records(t=np.arange(40.0))
     with pytest.raises(ValueError, match="nothing to fit"):
         fit_decay(recs, (0.0, 40.0))
 
@@ -77,13 +82,44 @@ def test_sandwich_margins_zero_on_valid_run():
     assert lo == 0.0 and hi == 0.0
 
 
-def test_csv_row_roundtrip():
-    rec = DiagnosticsRecord(t=0.1, E=1.0 / 3.0, E1=0.2, E2=0.0, xi=0.4, w0=-1.5,
-                            F=0.25, qform=-0.5, l2=1.0 / 3.0, h2seminorm=2.0)
-    row = rec.csv_row()
-    vals = [float(v) for v in row.split(",")]
-    assert vals[1] == 1.0 / 3.0   # repr round-trips exactly
-    assert len(vals) == len(DiagnosticsRecord.CSV_HEADER.split(","))
+def test_sandwich_margins_see_xi_above_the_top_bound():
+    """xi above (1 + max{L mu1, mu2}) E by twice the slack 1e-12 (1 + E)
+    violates the top bound by the slack; at half the slack it holds."""
+    cfg = reference_sim_config()
+    top = 1.0 + max(cfg.params.L * cfg.gains.mu1, cfg.gains.mu2)
+    E = np.array([1.0, 2.0])
+    slack = 1e-12 * (1.0 + E)
+    over = _records(E=E, xi=top * E + 2.0 * slack)
+    lo, hi = sandwich_margins(over, cfg.params, cfg.gains)
+    assert lo == 0.0
+    assert hi == pytest.approx(slack.max(), rel=1e-3)
+    within = _records(E=E, xi=top * E + 0.5 * slack)
+    assert sandwich_margins(within, cfg.params, cfg.gains) == (0.0, 0.0)
+    # a NaN violation counts as none
+    nan = _records(E=np.array([np.nan, 1.0]), xi=np.array([1.0, 1.0]))
+    assert sandwich_margins(nan, cfg.params, cfg.gains) == (0.0, 0.0)
+
+
+def test_write_series_csv(tmp_path):
+    """The header is RECORD's names, as README lists them; every value
+    round-trips exactly; a run without records writes the header alone."""
+    header = ",".join(RECORD.names)
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md"), encoding="utf-8").read()
+    assert re.search(r"`series\.csv`\s+\(`([^`]*)`", readme)[1] == header
+    cols = {name: np.array([0.1, 1.0 / 3.0, -1.5, 5e-324, 1e300, -0.0]) * k
+            for k, name in enumerate(RECORD.names, 1)}
+    recs = _records(**cols)
+    path = tmp_path / "series.csv"
+    write_series_csv(str(path), recs)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == header and lines[-1] == ""
+    got = [tuple(map(float, line.split(","))) for line in lines[1:-1]]
+    assert got == recs.tolist()
+    none = run(reference_sim_config(T_end=0.1, record_every=0)).records
+    assert len(none) == 0
+    write_series_csv(str(path), none)
+    assert path.read_text(encoding="utf-8") == header + "\n"
 
 
 def test_apriori_skipped_for_nonlinear():

@@ -26,6 +26,15 @@ def test_reference_gain_condition(ref_gains, ref_kernel):
     assert value == pytest.approx(0.75, abs=1e-15)
 
 
+def test_gain_condition_fails_at_exactly_one():
+    """|alpha| + |beta| int lam = 0.5 + 0.5 * 1 is exactly 1.0: the strict
+    inequality fails."""
+    kernel = MemoryKernel(tau1=1.0, tau2=2.0, form="constant", c=1.0)
+    value, ok = check_gain_condition(FeedbackGains(alpha=0.5, beta=0.5), kernel)
+    assert value == 1.0
+    assert not ok
+
+
 def test_reference_critical_length(ref_params):
     assert critical_length(ref_params) == pytest.approx(math.sqrt(3.0) * math.pi,
                                                         rel=1e-15)

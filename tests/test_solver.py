@@ -496,8 +496,8 @@ def sampled_series(cfg):
     ||u||^2 and `weighted_trace` of the live buffer."""
     st = Stepper(cfg)
     state = st.initial_state()
-    cols = {k: [] for k in ("t", "w", "memory", "l2", "lam_z1sq",
-                            "slam_z1sq", "z_plain")}
+    cols = {k: [] for k in ("t", "w", "memory", "l2", "lam_sq",
+                            "slam_sq", "z_plain")}
 
     def sample(state):
         buf = state.history
@@ -506,8 +506,8 @@ def sampled_series(cfg):
         cols["w"].append(float(buf.trace[-1]))
         cols["memory"].append(tv.memory)
         cols["l2"].append(float(st.grid.h * (state.u ** 2).sum()))
-        cols["lam_z1sq"].append(tv.lam_sq)
-        cols["slam_z1sq"].append(tv.slam_sq)
+        cols["lam_sq"].append(tv.lam_sq)
+        cols["slam_sq"].append(tv.slam_sq)
         cols["z_plain"].append(tv.z_plain)
 
     sample(state)
@@ -530,7 +530,7 @@ def test_series_matches_per_step_sampling(form, startup_steps):
     want = sampled_series(cfg)
     for name in ("t", "w", "l2"):
         assert (getattr(series, name) == want[name]).all(), name
-    for name in ("memory", "lam_z1sq", "slam_z1sq", "z_plain"):
+    for name in ("memory", "lam_sq", "slam_sq", "z_plain"):
         got = getattr(series, name)
         assert got.shape == want[name].shape
         assert np.abs(got - want[name]).max() <= \
