@@ -38,8 +38,8 @@ class UnusedFieldError(ConfigError):
 
 
 # Limits that turn an absurd value into a config error instead of a failed
-# allocation or an endless run.  MAX_N ends the range over which the solver's
-# row-block right-hand side is checked to equal the dense product bit for bit.
+# allocation or an endless run.  The solver's right-hand side is checked to
+# equal the dense product for N in [12, 300] and about 2048 and 4096 only.
 MAX_N = 8192
 MAX_SAMPLES = 10 ** 7   # time steps T_end/dt, and history samples tau2/dt
 

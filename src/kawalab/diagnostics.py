@@ -31,7 +31,7 @@ RECORD = np.dtype([(name, np.float64) for name in
 
 def state_scalars(u: np.ndarray, w0: float, op) -> tuple:
     """(E1, w0, ||u_xx||^2) of one state: the record values that need u.
-    `w0` is u_xx(t, 0) of u, the trace the state carries (`SimState.w0`)."""
+    `w0` is u_xx(t, 0) of u, the trace the state carries (`Stepper.w0`)."""
     grid = op.grid
     E1 = weighted_mass(u, grid)
     # ||u_xx||^2 by centered differences; boundary values from the traces

@@ -3,10 +3,10 @@
 The transported variable z(t, rho, s) = w(t - rho*s) never needs separate
 storage: every functional of z reduces, by the change of variable
 sigma = rho*s, to integrals of w over [t - tau2, t].  `HistoryBuffer` is
-the one store of w: every sample of a run at the solver step size, from the
-initial history on, and the run's clock.  The lags tau1, tau2 need not be
-multiples of dt (endpoint cells use linear interpolation).  Gain factors
-beta, |beta| are applied by callers.
+the one store of w, in one array sized for the run: every sample of a run
+at the solver step size, from the initial history on, and the run's clock.
+The lags tau1, tau2 need not be multiples of dt (endpoint cells use linear
+interpolation).  Gain factors beta, |beta| are applied by callers.
 
 The general forms of these functionals, `memory_integral`,
 `trace_sq_integral` and `z_energy`, interpolate the history at freshly built
@@ -35,14 +35,14 @@ class HistoryBuffer:
 
     `trace` is every sample since the initial history, oldest first.
     `window()` gives its last `maxlen` samples, which cover at least
-    [t_now - tau2, t_now], with their times.  `push` appends a sample and
-    never moves a stored one.  The array has room for `steps` pushes and
-    grows geometrically beyond them.  Single-writer: the time loop pushes
-    once per completed step.
+    [t_now - tau2, t_now], with their times.  The one array has room for
+    `steps` pushes: `push` writes into it in place, never moving a stored
+    sample, and raises IndexError past that room.  Single-writer: the
+    time loop pushes once per completed step.
     """
 
     def __init__(self, dt: float, tau2: float, samples: np.ndarray,
-                 t_now: float = 0.0, steps: int = 0):
+                 steps: int):
         self.dt = dt
         self.tau2 = tau2
         self.maxlen = math.ceil(tau2 / dt) + 3
@@ -54,19 +54,19 @@ class HistoryBuffer:
         # times of `window` are t_now - lags
         self._lags = dt * np.arange(self.maxlen - 1, -1, -1)
         self._times = np.empty(self.maxlen)     # `window`'s times
-        self.t_now = t_now
+        self.t_now = 0.0
         if self.span < tau2:
             raise ValueError("initial history does not span tau2")
 
     @classmethod
     def from_initial(cls, z0, dt: float, tau2: float,
-                     steps: int = 0) -> "HistoryBuffer":
+                     steps: int) -> "HistoryBuffer":
         """Sample the initial history z0(t), t in (-tau2, 0], once at setup,
         with room for `steps` pushes."""
         k = math.ceil(tau2 / dt) + 2
         times = -dt * np.arange(k, -1, -1)
         samples = np.array([float(z0(t)) for t in times])
-        return cls(dt, tau2, samples, 0.0, steps)
+        return cls(dt, tau2, samples, steps)
 
     @property
     def trace(self) -> np.ndarray:
@@ -86,11 +86,7 @@ class HistoryBuffer:
         return times, self._data[self._n - m:self._n]
 
     def push(self, w_new: float) -> None:
-        if self._n == len(self._data):
-            grown = np.empty(2 * self._n)
-            grown[:self._n] = self._data
-            self._data = grown
-        self._data[self._n] = w_new
+        self._data[self._n] = w_new     # IndexError past the room
         self._n += 1
         self.t_now += self.dt
 

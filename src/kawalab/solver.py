@@ -25,16 +25,16 @@ expressions (`-g_F`, whose negation is exact, `0.5 * dt * alpha` and
 `p + 2.0`), never vectors pre-multiplied by a scalar: `g_F * (beta * mem)`
 and `(beta * g_F) * mem` round differently.  Every intermediate is written
 with `out=` into work arrays set up once, in the plain formulation's order;
-the arrays a step returns (`u`, `prev_nl`) are new ones, which the returned
-state owns.  The step enters no `np.errstate`: `run` enters one around its
-time loop, so that a diverging state overflows silently until the step's
-finiteness check turns it into a `SolverAbort`.
+a step's new `u` and `prev_nl` are fresh arrays.  The step enters no
+`np.errstate`: `run` enters one around its time loop, so that a diverging
+state overflows silently until the step's finiteness check turns it into a
+`SolverAbort`.
 
-The history buffer is the run's one store of the boundary trace
-and its one clock: `SimState.t_now` reads the buffer's.  The time loop
-advances the state and stores t and ||u||^2 per step, and at a record step
-the few record values that need the state; the history functionals are
-computed from the buffer's trace after the run (`memory.trace_series`), and
+The `Stepper` owns a run's state and advances it in place; the history
+buffer in it is the run's one store of the boundary trace and its one clock.
+The time loop stores t and ||u||^2 per step, and at a record step the few
+record values that need the state; the history functionals are computed
+from the buffer's trace after the run (`memory.trace_series`), and
 the energy records from the series (`diagnostics.build_records`).
 
 The nonlinearity uses the split u^p u_x ~ (D1(g) + |u|^p (D1 u)) / (p+2)
@@ -143,22 +143,6 @@ class SimConfig:
         return math.ceil(self.T_end / self.dt - 1e-12) if self.T_end > 0 else 0
 
 
-@dataclass
-class SimState:
-    u: np.ndarray
-    history: HistoryBuffer
-    step_index: int
-    # u_xx(t, 0) of u: the sample the step that made u pushed, or the trace
-    # of u0 (not the history's z0(0)) in the initial state
-    w0: float
-    prev_nl: Optional[np.ndarray] = None  # N(u) at the previous level, for AB2
-
-    @property
-    def t_now(self) -> float:
-        """The time of the history's newest sample, the run's one clock."""
-        return self.history.t_now
-
-
 def _pow_p(u: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     """u^p for p = 1 or 2 (u itself for p = 1), |u|^p for a fractional p,
     written into `out` unless it is u."""
@@ -210,9 +194,9 @@ def _build_mms(params: PhysicalParams, amplitude: float):
 # narrow column window.  The layout follows OpenBLAS's dgemv_t kernel inside
 # the full N x N product, so that every row sums its terms in the same order
 # and the result equals that product bit for bit (checked with OpenBLAS
-# 0.3.31 on one thread for every N from 12 to 419 and for N about each
-# multiple of 2048 up to 8192).  With another BLAS the blocks still hold the
-# exact entries, so at most the last bits of the product change.
+# 0.3.31 on one thread for every N from 12 to 300 and for N about 2048 and
+# 4096, in tests/test_solver.py).  With another BLAS the blocks still hold
+# the exact entries, so at most the last bits of the product change.
 _RHS_ROWS = 64          # rows per block
 _GEMV_COLS = 2048       # dgemv_t's column block
 _WINDOW_ALIGN = 16      # window starts, and ends short of N, on multiples
@@ -288,9 +272,12 @@ class _ImplicitSystem:
 
 
 class Stepper:
-    """Holds the factorized pieces, the constants and the work arrays of a
-    step; `step` is the single time advance.  The work arrays make a
-    Stepper single-threaded."""
+    """The one owner of a run's state: `u`, its trace `w0` = u_xx(t, 0),
+    `prev_nl` (N(u) at the previous level, for AB2), the step index `k` and
+    the `history` buffer.  `initial_state` sets it and `step`, the single
+    time advance, advances it in place.  Also holds the factorized pieces,
+    the constants and the work arrays of a step, which make a Stepper
+    single-threaded."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -389,17 +376,16 @@ class Stepper:
         np.add(dg, nl, out=nl)
         return np.divide(nl, self._p2, out=nl)
 
-    def step(self, state: SimState) -> SimState:
-        """Advance one step.  The history buffer, and with it the clock, is
-        advanced in place: the returned state shares it with `state`, and
-        owns its `u` and `prev_nl`.  Enters no errstate (see `run`)."""
+    def step(self) -> None:
+        """Advance the state one step, in place; a step that aborts leaves
+        it as it was.  Enters no errstate (see `run`)."""
         dt = self._dt
-        u = state.u
-        buf = state.history
+        u = self.u
+        buf = self.history
         t = buf.t_now
         expl = self._expl
 
-        be = state.step_index < self.n_startup
+        be = self.k < self.n_startup
 
         # explicit memory feedback, fully known from history since tau1 >= dt:
         # midpoint value for CN, end-of-step value for the BE startup steps
@@ -416,10 +402,10 @@ class Stepper:
         if not self.config.linear_only:
             nl = self.nonlinear(u)
             nl_mid = nl
-            if not be and state.prev_nl is not None:
+            if not be and self.prev_nl is not None:
                 # 1.5 nl - 0.5 prev_nl
                 nl_mid = np.multiply(nl, 1.5, out=self._mid)
-                np.subtract(nl_mid, np.multiply(state.prev_nl, 0.5,
+                np.subtract(nl_mid, np.multiply(self.prev_nl, 0.5,
                                                 out=self._corr), out=nl_mid)
             np.subtract(expl, nl_mid, out=expl)
         if self.mms_forcing is not None:
@@ -431,7 +417,7 @@ class Stepper:
         else:
             rhs = self._cn_rhs(u)
             np.subtract(rhs, np.multiply(self.op.g_F,
-                                         self._half_dt_alpha * state.w0,
+                                         self._half_dt_alpha * self.w0,
                                          out=self._corr), out=rhs)
             np.add(rhs, expl, out=rhs)
         u_new = self._solve_implicit(rhs, be=be)
@@ -440,18 +426,20 @@ class Stepper:
         # only when it is not
         w0 = self.op.trace_uxx0(u_new)
         if not math.isfinite(w0) and not np.isfinite(u_new).all():
-            raise SolverAbort("non-finite state", state.step_index + 1, t + dt)
+            raise SolverAbort("non-finite state", self.k + 1, t + dt)
         buf.push(w0)
-        return SimState(u=u_new, history=buf, step_index=state.step_index + 1,
-                        w0=w0, prev_nl=nl)
+        self.u, self.w0, self.prev_nl = u_new, w0, nl
+        self.k += 1
 
-    def initial_state(self) -> SimState:
-        u0 = np.asarray(self.config.u0(self.grid.x), dtype=float)
-        buf = HistoryBuffer.from_initial(self.config.z0, self.config.dt,
-                                         self.config.kernel.tau2,
-                                         self.config.n_steps)
-        return SimState(u=u0, history=buf, step_index=0,
-                        w0=self.op.trace_uxx0(u0))
+    def initial_state(self) -> None:
+        """Set the state to step 0: u0, its trace (not the history's z0(0))
+        and the initial history, with room for the run's steps."""
+        cfg = self.config
+        self.u = np.asarray(cfg.u0(self.grid.x), dtype=float)
+        self.history = HistoryBuffer.from_initial(cfg.z0, cfg.dt,
+                                                  cfg.kernel.tau2, cfg.n_steps)
+        self.w0 = self.op.trace_uxx0(self.u)
+        self.prev_nl, self.k = None, 0
 
 
 @dataclass
@@ -472,7 +460,7 @@ class TimeSeries:
 @dataclass
 class RunResult:
     records: np.recarray   # one `diagnostics.RECORD` row per record step
-    final: SimState
+    u: np.ndarray          # the profile at the last step
     series: TimeSeries
     h_norm0_sq: float
     mms_error: Optional[float] = None
@@ -482,10 +470,10 @@ def run(config: SimConfig) -> RunResult:
     """Advance to T_end, recording diagnostics every record_every steps.
 
     The loop stores t and ||u||^2 of every step, and the
-    `diagnostics.state_scalars` of every record step, from the state's u and
-    its carried trace w0; the history buffer keeps the trace w.  The history
-    functionals of the series and the records come from those after the
-    loop.  Deterministic: identical configs produce bitwise-identical
+    `diagnostics.state_scalars` of every record step, from the Stepper's u
+    and its carried trace w0; the history buffer keeps the trace w.  The
+    history functionals of the series and the records come from those after
+    the loop.  Deterministic: identical configs produce bitwise-identical
     trajectories.
 
     The time loop runs under one `np.errstate` that ignores overflow and
@@ -496,11 +484,12 @@ def run(config: SimConfig) -> RunResult:
     from . import diagnostics  # local import: diagnostics also drives runs
 
     st = Stepper(config)
-    state = st.initial_state()
+    st.initial_state()
+    buf = st.history
     n_steps = config.n_steps
     h = st.grid.h
     # the initial history, then w(t_k) at index i0 + k of the buffer's trace
-    i0 = len(state.history.trace) - 1
+    i0 = len(buf.trace) - 1
     K = st.trace_weights.K
 
     t = np.empty(n_steps + 1)
@@ -509,43 +498,40 @@ def run(config: SimConfig) -> RunResult:
     rec_steps, rec_scalars = [], []     # each record's step and state_scalars
 
     with np.errstate(over="ignore", invalid="ignore"):
-        t[0] = state.t_now
-        l2[0] = h * np.add.reduce(np.square(state.u, out=sq))
+        t[0] = buf.t_now
+        l2[0] = h * np.add.reduce(np.square(st.u, out=sq))
         if config.record_every > 0:
             rec_steps.append(0)
-            rec_scalars.append(diagnostics.state_scalars(
-                state.u, state.w0, st.op))
+            rec_scalars.append(diagnostics.state_scalars(st.u, st.w0, st.op))
         for k in range(1, n_steps + 1):
             try:
-                state = st.step(state)
+                st.step()
             except SolverAbort as e:
                 finite = np.flatnonzero(np.isfinite(l2[:k]))
                 if finite.size:
                     j = finite[-1]
                     e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
                     # the failed step pushed nothing: the trace ends at t_{k-1}
-                    tv = trace_series(state.history.trace[i0 - K:],
-                                      st.trace_weights)
+                    tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
                     E = e.last_finite_l2 + abs(config.gains.beta) * float(
                         tv.z_plain[j])
                     e.last_finite_E = E if math.isfinite(E) else None
                 raise
-            t[k] = state.t_now
-            l2[k] = h * np.add.reduce(np.square(state.u, out=sq))
+            t[k] = buf.t_now
+            l2[k] = h * np.add.reduce(np.square(st.u, out=sq))
             if config.record_every > 0 and (
-                    state.step_index % config.record_every == 0 or k == n_steps):
+                    k % config.record_every == 0 or k == n_steps):
                 rec_steps.append(k)
                 rec_scalars.append(diagnostics.state_scalars(
-                    state.u, state.w0, st.op))
+                    st.u, st.w0, st.op))
 
-    trace = state.history.trace
-    tv = trace_series(trace[i0 - K:], st.trace_weights)
-    series = TimeSeries(t=t, w=trace[i0:], l2=l2, **tv._asdict())
+    tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
+    series = TimeSeries(t=t, w=buf.trace[i0:], l2=l2, **tv._asdict())
     records = diagnostics.build_records(config, series, rec_steps, rec_scalars)
     h0 = l2[0] + abs(config.gains.beta) * series.z_plain[0]
     mms_err = None
     if st.mms_exact is not None:
-        exact = st.mms_exact(st.grid.x, state.t_now)
-        mms_err = float(np.sqrt(st.grid.h * ((state.u - exact) ** 2).sum()))
-    return RunResult(records=records, final=state, series=series,
+        exact = st.mms_exact(st.grid.x, buf.t_now)
+        mms_err = float(np.sqrt(st.grid.h * ((st.u - exact) ** 2).sum()))
+    return RunResult(records=records, u=st.u, series=series,
                      h_norm0_sq=float(h0), mms_error=mms_err)

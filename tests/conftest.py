@@ -134,9 +134,12 @@ def det_P_closed_form(gains: FeedbackGains, kernel: MemoryKernel) -> float:
 # `memory.feedback_integrals` and `memory.trace_series`
 
 
-def copy_history(buf: HistoryBuffer) -> HistoryBuffer:
-    """A snapshot of `buf` that later pushes leave unchanged."""
-    return HistoryBuffer(buf.dt, buf.tau2, buf.window()[1], buf.t_now)
+def copy_history(buf: HistoryBuffer, steps: int) -> HistoryBuffer:
+    """A snapshot of `buf` that later pushes leave unchanged, with room for
+    `steps` pushes of its own."""
+    copy = HistoryBuffer(buf.dt, buf.tau2, buf.window()[1], steps)
+    copy.t_now = buf.t_now
+    return copy
 
 
 def w_at(buf: HistoryBuffer, t):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +143,23 @@ def test_apriori_estimates_hold_on_linear_run():
     assert report["est1"]["C_hat"] > 0.0
 
 
+@pytest.mark.parametrize("ratio, ok", [(1.06, False), (1.04, True)])
+def test_apriori_slack_is_five_percent(ratio, ok):
+    """est3 = z_plain(0) <= z_plain(T) + int lam z1^2 passes with 5% slack:
+    a stub linear result whose est3 ratio is 1.06 fails, one at 1.04 passes.
+    est4 holds with ratio 1 (constant ||u||^2, zero trace)."""
+    zeros = np.zeros(2)
+    series = SimpleNamespace(t=np.array([0.0, 1.0]), w=zeros, lam_sq=zeros,
+                             slam_sq=zeros, l2=np.ones(2),
+                             z_plain=np.array([ratio, 1.0]))
+    report = check_apriori_estimates(
+        SimpleNamespace(series=series, h_norm0_sq=1.0),
+        SimpleNamespace(linear_only=True))
+    assert report["est3"]["ratio"] == ratio
+    assert report["est3"]["pass"] is ok
+    assert report["est4"]["ratio"] == 1.0 and report["est4"]["pass"]
+
+
 def test_compatible_data_satisfies_constraints():
     """z0(0) = u0''(0) = 0 and u0''(L) = beta * int lam(s) z0(-s) ds."""
     cfg = reference_sim_config(T_end=0.0)
@@ -242,3 +260,22 @@ def test_spectral_threshold_stabilized():
     assert thr > 0.0
     resid = float(spectral_residuals(2.0, 180, n_pairs=20).min())
     assert resid > thr
+
+
+def _stub_residual_minima(monkeypatch, minima):
+    """`spectral_residuals` whose minimum at the n-th resolution is
+    minima[n]."""
+    monkeypatch.setattr(diagnostics, "spectral_residuals",
+                        lambda L, n, n_pairs: np.array([3.0, minima[n]]))
+
+
+def test_spectral_threshold_is_a_tenth_of_the_smaller_minimum(monkeypatch):
+    _stub_residual_minima(monkeypatch, {200: 1.0, 400: 1.2})
+    assert spectral_threshold(2.0) == 0.1
+
+
+def test_spectral_threshold_rejects_a_change_above_half(monkeypatch):
+    """Minima 1.0 and 2.5 change by 0.6 of the larger: not stabilized."""
+    _stub_residual_minima(monkeypatch, {200: 1.0, 400: 2.5})
+    with pytest.raises(ValueError, match="not stabilized"):
+        spectral_threshold(2.0)

@@ -17,8 +17,8 @@ from kawalab.model import MemoryKernel
 KERNEL = MemoryKernel(tau1=1.0, tau2=2.0, form="constant", c=1.0)
 
 
-def const_buffer(value=1.0, dt=0.01, tau2=2.0):
-    return HistoryBuffer.from_initial(lambda t: value, dt, tau2)
+def const_buffer(value=1.0, dt=0.01, tau2=2.0, steps=0):
+    return HistoryBuffer.from_initial(lambda t: value, dt, tau2, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +26,7 @@ def const_buffer(value=1.0, dt=0.01, tau2=2.0):
 
 
 def test_from_initial_spans_tau2():
-    buf = HistoryBuffer.from_initial(lambda t: t, 0.01, 2.0)
+    buf = HistoryBuffer.from_initial(lambda t: t, 0.01, 2.0, 0)
     assert buf.span >= 2.0
     assert buf.t_now == 0.0
     assert w_at(buf, 0.0) == 0.0
@@ -34,7 +34,7 @@ def test_from_initial_spans_tau2():
 
 
 def test_push_fifo_and_time_advance():
-    buf = const_buffer(0.0, dt=0.1)
+    buf = const_buffer(0.0, dt=0.1, steps=2)
     buf.push(1.0)
     buf.push(2.0)
     assert buf.t_now == pytest.approx(0.2)
@@ -44,7 +44,7 @@ def test_push_fifo_and_time_advance():
 
 def test_eviction_bounds_length():
     dt, tau2 = 0.1, 2.0
-    buf = const_buffer(1.0, dt=dt, tau2=tau2)
+    buf = const_buffer(1.0, dt=dt, tau2=tau2, steps=500)
     cap = math.ceil(tau2 / dt) + 3
     for k in range(500):
         buf.push(float(k))
@@ -56,8 +56,8 @@ def test_eviction_does_not_change_integrals():
     """Dropping samples older than tau2 leaves every functional bitwise equal."""
     dt = 0.1
     w = lambda t: math.sin(1.3 * t) + 0.2
-    long = HistoryBuffer(dt, 2.0, [w(-dt * k) for k in range(25, -1, -1)], 0.0)
-    short = HistoryBuffer(dt, 2.0, [w(-dt * k) for k in range(22, -1, -1)], 0.0)
+    long = HistoryBuffer(dt, 2.0, [w(-dt * k) for k in range(25, -1, -1)], 0)
+    short = HistoryBuffer(dt, 2.0, [w(-dt * k) for k in range(22, -1, -1)], 0)
     assert memory_integral(long, KERNEL) == memory_integral(short, KERNEL)
     assert z_energy(long, KERNEL) == z_energy(short, KERNEL)
     assert trace_sq_integral(long, KERNEL, "s") == \
@@ -65,8 +65,8 @@ def test_eviction_does_not_change_integrals():
 
 
 def test_copy_is_independent():
-    buf = const_buffer(1.0)
-    snap = copy_history(buf)
+    buf = const_buffer(1.0, steps=1)
+    snap = copy_history(buf, 0)
     buf.push(99.0)
     assert snap.t_now == 0.0
     assert w_at(snap, 0.0) == 1.0
@@ -81,7 +81,7 @@ def test_w_at_outside_span_raises():
 
 
 def test_insufficient_span_raises():
-    buf = HistoryBuffer(0.1, 1.0, np.ones(12), 0.0)
+    buf = HistoryBuffer(0.1, 1.0, np.ones(12), 0)
     with pytest.raises(ValueError):
         memory_integral(buf, KERNEL)   # needs span 2.0
 
@@ -121,7 +121,7 @@ def test_trace_sq_integrals_constant_history():
 
 def test_memory_integral_linear_history():
     # w(t) = t: int_1^2 (0 - s) ds = -3/2 at t = 0
-    buf = HistoryBuffer.from_initial(lambda t: t, 0.01, 2.0)
+    buf = HistoryBuffer.from_initial(lambda t: t, 0.01, 2.0, 0)
     assert memory_integral(buf, KERNEL) == pytest.approx(-1.5, rel=1e-10)
 
 
@@ -135,7 +135,7 @@ def test_exponential_kernel_memory_integral():
 def test_offgrid_lags_are_handled():
     """tau1, tau2 need not be multiples of dt."""
     k = MemoryKernel(tau1=0.95, tau2=1.85, form="constant", c=1.0)
-    buf = HistoryBuffer.from_initial(lambda t: 1.0, 0.1, 1.85)
+    buf = HistoryBuffer.from_initial(lambda t: 1.0, 0.1, 1.85, 0)
     assert memory_integral(buf, k) == pytest.approx(0.9, rel=1e-10)
 
 
@@ -149,7 +149,7 @@ def test_memory_integral_linear_in_history(seed, a, b):
     rng = np.random.default_rng(seed)
     n = 25
     w1, w2 = rng.standard_normal(n), rng.standard_normal(n)
-    mk = lambda w: HistoryBuffer(0.1, 2.0, w, 0.0)
+    mk = lambda w: HistoryBuffer(0.1, 2.0, w, 0)
     lhs = memory_integral(mk(a * w1 + b * w2), KERNEL)
     rhs = a * memory_integral(mk(w1), KERNEL) + b * memory_integral(mk(w2), KERNEL)
     assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -160,7 +160,7 @@ def test_memory_integral_linear_in_history(seed, a, b):
 def test_cauchy_schwarz_gap_nonnegative(seed):
     """(int lam w)^2 <= int lam * int lam w^2 on the discrete quadrature."""
     rng = np.random.default_rng(seed)
-    buf = HistoryBuffer(0.1, 2.0, rng.standard_normal(25), 0.0)
+    buf = HistoryBuffer(0.1, 2.0, rng.standard_normal(25), 0)
     I = memory_integral(buf, KERNEL)
     Q = trace_sq_integral(buf, KERNEL, "one")
     assert I * I <= KERNEL.lambda_integral * Q + 1e-12
@@ -170,7 +170,7 @@ def test_z_energy_against_2d_quadrature():
     """z_energy = int lam(s) int_0^s w(t - sig)^2 dsig ds on a smooth trace."""
     dt = 0.002
     w = lambda t: math.cos(2.0 * t) + 0.5
-    buf = HistoryBuffer.from_initial(w, dt, 2.0)
+    buf = HistoryBuffer.from_initial(w, dt, 2.0, 0)
     from scipy.integrate import dblquad
     exact, err = dblquad(lambda sig, s: w(-sig) ** 2, 1.0, 2.0, 0.0, lambda s: s,
                          epsabs=1e-12)
@@ -214,8 +214,9 @@ def test_trace_series_matches_interpolating_functionals(seed, dt, tau1, width,
     rng = np.random.default_rng(seed)
     n = math.ceil(tau2 / dt) + 3
     w = rng.standard_normal(n)
-    buf = HistoryBuffer(dt, tau2, w, t_now)
-    top = HistoryBuffer(dt, tau2, np.full(n, np.abs(w).max()), t_now)
+    buf = HistoryBuffer(dt, tau2, w, 0)
+    top = HistoryBuffer(dt, tau2, np.full(n, np.abs(w).max()), 0)
+    buf.t_now = top.t_now = t_now
     got = trace_series(w, TraceWeights(kernel, dt, delta))
     oracle = {
         "memory": lambda b: memory_integral(b, kernel),
@@ -234,7 +235,7 @@ def test_feedback_integral_is_memory_integral_bitwise():
     for form in ("constant", "exponential", "tabulated"):
         k = _kernel(form, 0.955, 1.853)
         rng = np.random.default_rng(5)
-        buf = HistoryBuffer(0.01, 1.853, rng.standard_normal(200), 0.0)
+        buf = HistoryBuffer(0.01, 1.853, rng.standard_normal(200), 400)
         quad = LagQuadrature(k)
         for step in range(400):
             # t + dt - t_now takes several values as the clock rounds
@@ -261,7 +262,7 @@ def test_trace_series_matches_weighted_trace(form, tau1, tau2):
     rng = np.random.default_rng(11)
     w = rng.standard_normal(600) * np.exp(rng.uniform(-3.0, 3.0, 600))
     n0 = math.ceil(tau2 / dt) + 3
-    buf = HistoryBuffer(dt, tau2, w[:n0], 0.0)
+    buf = HistoryBuffer(dt, tau2, w[:n0], len(w) - n0)
     rows = [weighted_trace(buf, weights)]
     for x in w[n0:]:
         buf.push(x)
@@ -280,7 +281,7 @@ def test_trace_keeps_every_sample():
     `window()` gives its last maxlen samples, or the whole trace while it is
     shorter."""
     init = np.linspace(-1.0, 0.0, 12)
-    buf = HistoryBuffer(0.1, 1.0, init, 0.0)
+    buf = HistoryBuffer(0.1, 1.0, init, 40)
     assert buf.maxlen == 13
     pushed = []
     for k in range(40):
@@ -300,11 +301,27 @@ def test_from_initial_reserves_room_for_its_steps():
     assert buf.trace[-1] == 49.0 and buf.trace[-2] == 48.0
 
 
-def test_push_past_reserved_room_keeps_every_sample():
+def test_push_past_reserved_room_raises():
+    """A push past the room the buffer was sized for raises, and leaves the
+    stored samples and the clock as they were."""
     buf = HistoryBuffer.from_initial(math.sin, 0.1, 2.0, steps=3)
-    init = buf.trace.copy()
-    values = np.arange(100.0)
+    for x in (1.0, 2.0, 3.0):
+        buf.push(x)
+    trace, t_now = buf.trace.copy(), buf.t_now
+    with pytest.raises(IndexError):
+        buf.push(4.0)
+    assert (buf.trace == trace).all() and buf.t_now == t_now
+
+
+def test_trace_view_taken_before_pushes_sees_them():
+    """A view of `trace` taken before pushes stays a view of the buffer's one
+    array, which every later push writes."""
+    buf = HistoryBuffer.from_initial(math.sin, 0.1, 2.0, steps=50)
+    before = buf.trace
+    n0 = len(before)
+    values = np.arange(50.0)
     for x in values:
         buf.push(x)
-    assert (buf.trace == np.concatenate((init, values))).all()
-    assert (buf.window()[1] == values[-buf.maxlen:]).all()
+    assert before.base is buf.trace.base
+    assert (before.base[n0:] == values).all()
+    assert (buf.trace[:n0] == before).all()

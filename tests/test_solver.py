@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ from conftest import (copy_history, dense_d1, dense_operator_oracle,
 from kawalab.discretization import BANDWIDTH
 from kawalab.memory import HistoryBuffer
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
-from kawalab.solver import (SimConfig, SimState, SolverAbort, Stepper,
-                            _build_mms, _ImplicitSystem, run)
+from kawalab.solver import (SimConfig, SolverAbort, Stepper, _build_mms,
+                            _ImplicitSystem, run)
 
 
 def test_dt_exceeding_tau1_rejected():
@@ -38,7 +38,7 @@ def test_zero_data_is_exact_fixed_point():
                                u0=lambda x: np.zeros_like(np.asarray(x)),
                                z0=lambda t: 0.0)
     result = run(cfg)
-    assert np.all(result.final.u == 0.0)
+    assert np.all(result.u == 0.0)
     assert all(r.E == 0.0 for r in result.records)
     assert result.h_norm0_sq == 0.0
 
@@ -84,14 +84,14 @@ def test_fractional_p_runs():
                     gains=cfg.gains, kernel=cfg.kernel, N=64, dt=0.01,
                     T_end=0.5, u0=cfg.u0, z0=cfg.z0, record_every=10)
     result = run(cfg)
-    assert np.all(np.isfinite(result.final.u))
+    assert np.all(np.isfinite(result.u))
 
 
 def test_determinism_bitwise():
     cfg = reference_sim_config(T_end=2.0)
     r1 = run(cfg)
     r2 = run(cfg)
-    assert (r1.final.u == r2.final.u).all()
+    assert (r1.u == r2.u).all()
     assert r1.series.w.tolist() == r2.series.w.tolist()
 
 
@@ -109,7 +109,7 @@ def test_memory_feedback_alters_trajectory():
                      u0=cfg.u0,
                      z0=lambda t: math.sin(2.0 * t), record_every=10,
                      linear_only=True)
-    assert not np.allclose(run(strong).final.u, run(weak).final.u)
+    assert not np.allclose(run(strong).u, run(weak).u)
 
 
 def abort_of_run(cfg):
@@ -123,18 +123,18 @@ def abort_of_run(cfg):
 
 def states_by_hand(cfg):
     """(t, ||u||^2, E) of each state up to a run's abort, E from the
-    z_energy oracle on the live history, and the last state."""
+    z_energy oracle on the live history, and the Stepper at its last state."""
     st = Stepper(cfg)
-    state = st.initial_state()
+    st.initial_state()
     rows = []
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SolverAbort):
         while True:
-            l2 = float(st.grid.h * (state.u ** 2).sum())
-            E = l2 + abs(cfg.gains.beta) * z_energy(state.history, cfg.kernel)
-            rows.append((state.t_now, l2, E))
-            state = st.step(state)
-    return rows, state
+            l2 = float(st.grid.h * (st.u ** 2).sum())
+            E = l2 + abs(cfg.gains.beta) * z_energy(st.history, cfg.kernel)
+            rows.append((st.history.t_now, l2, E))
+            st.step()
+    return rows, st
 
 
 def test_solver_abort_on_blowup():
@@ -147,8 +147,8 @@ def test_solver_abort_on_blowup():
     e = abort_of_run(cfg)
     # the same steps by hand: the abort carries the last finite ||u||^2 and
     # the energy of that state
-    rows, state = states_by_hand(cfg)
-    assert state.step_index + 1 == e.step_index
+    rows, st = states_by_hand(cfg)
+    assert st.k + 1 == e.step_index
     t, l2, E = [r for r in rows if math.isfinite(r[1])][-1]
     assert (e.last_finite_t, e.last_finite_l2) == (t, l2)
     assert math.isfinite(E)
@@ -170,17 +170,25 @@ def test_abort_energy_none_when_not_finite():
     assert e.last_finite_E is None
 
 
-def test_one_store_and_one_clock():
-    """The state's clock is the history buffer's, and the run's series reads
-    the buffer's trace, which holds every step: no copy of either."""
-    assert "t_now" not in {f.name for f in fields(SimState)}
+def test_one_store_and_one_clock(monkeypatch):
+    """The run's series reads the history buffer's trace, which holds every
+    step, and the buffer's clock is the run's: no copy of either."""
+    steppers = []
+    initial_state = Stepper.initial_state
+
+    def keep(st):
+        initial_state(st)
+        steppers.append(st)
+
+    monkeypatch.setattr(Stepper, "initial_state", keep)
     cfg = reference_sim_config(N=32, T_end=0.5, z0=lambda t: math.cos(t))
     result = run(cfg)
-    buf = result.final.history
-    assert result.final.t_now == buf.t_now == result.series.t[-1]
-    assert np.shares_memory(result.series.w, buf.trace)
+    (st,) = steppers
+    buf = st.history
+    assert buf.t_now == result.series.t[-1]
+    assert result.series.w.base is buf.trace.base
     assert len(buf.trace) == len(HistoryBuffer.from_initial(
-        cfg.z0, cfg.dt, cfg.kernel.tau2).trace) + cfg.n_steps
+        cfg.z0, cfg.dt, cfg.kernel.tau2, 0).trace) + cfg.n_steps
     assert (result.series.w == buf.trace[-cfg.n_steps - 1:]).all()
 
 
@@ -195,8 +203,8 @@ def test_stability_at_dt_equal_h():
                         u0=lambda x: 0.3 * np.sin(np.asarray(x)),
                         z0=lambda t: 0.0, record_every=0, linear_only=True)
         result = run(cfg)
-        assert np.all(np.isfinite(result.final.u))
-        assert float(np.abs(result.final.u).max()) < 10.0
+        assert np.all(np.isfinite(result.u))
+        assert float(np.abs(result.u).max()) < 10.0
 
 
 def test_run_record_schedule():
@@ -313,45 +321,14 @@ def test_fast_step_matches_plain_formulation_bitwise(form, case):
                     startup_steps=startup_steps)
     st = Stepper(cfg)
     ref = ReferenceStepper(st)
-    state = st.initial_state()
-    u, buf, prev_nl = state.u, copy_history(state.history), None
+    st.initial_state()
+    u, buf, prev_nl = st.u, copy_history(st.history, 300), None
     for k in range(300):
-        state = st.step(state)
+        st.step()
         u, prev_nl = ref.step(u, buf, k, prev_nl)
-        assert (state.u == u).all(), k
-        assert (state.history.window()[1] == buf.window()[1]).all(), k
-    assert state.history.t_now == buf.t_now
-
-
-@pytest.mark.parametrize("case", ["p1", "linear", "p1.5-mms"])
-def test_returned_states_own_their_arrays(case):
-    """The `u` and `prev_nl` of every returned state, the initial one and
-    those of the startup steps included, stay as they were returned while
-    50 more steps reuse the Stepper's work arrays and overwrite its solves'
-    right-hand sides."""
-    linear_only, p, mms, startup_steps = STEP_CASES[case]
-    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, p),
-                    FeedbackGains(0.5, 0.25, 0.01, 0.01),
-                    OFFGRID_KERNELS["constant"], N=64, dt=0.01, T_end=1.0,
-                    u0=lambda x: 2.0 * np.sin(np.asarray(x)),
-                    z0=lambda t: 0.3 * math.sin(2.0 * t + 0.4),
-                    linear_only=linear_only, mms_amplitude=mms,
-                    startup_steps=startup_steps)
-    st = Stepper(cfg)
-    state = st.initial_state()
-    kept = []
-    for _ in range(50):
-        kept.append((state, state.u.copy(),
-                     None if state.prev_nl is None else state.prev_nl.copy()))
-        state = st.step(state)
-    for _ in range(50):
-        state = st.step(state)
-    for k, (s, u, nl) in enumerate(kept):
-        assert (s.u.view(np.int64) == u.view(np.int64)).all(), k
-        if nl is None:
-            assert s.prev_nl is None and (linear_only or k == 0), k
-        else:
-            assert (s.prev_nl.view(np.int64) == nl.view(np.int64)).all(), k
+        assert (st.u == u).all(), k
+        assert (st.history.window()[1] == buf.window()[1]).all(), k
+    assert st.history.t_now == buf.t_now
 
 
 @pytest.mark.parametrize("N", [128, 2048])
@@ -495,25 +472,25 @@ def sampled_series(cfg):
     """The series sampled after every step, as the time loop once did: t, w,
     ||u||^2 and `weighted_trace` of the live buffer."""
     st = Stepper(cfg)
-    state = st.initial_state()
+    st.initial_state()
     cols = {k: [] for k in ("t", "w", "memory", "l2", "lam_sq",
                             "slam_sq", "z_plain")}
 
-    def sample(state):
-        buf = state.history
+    def sample():
+        buf = st.history
         tv = weighted_trace(buf, st.trace_weights)
-        cols["t"].append(state.t_now)
+        cols["t"].append(buf.t_now)
         cols["w"].append(float(buf.trace[-1]))
         cols["memory"].append(tv.memory)
-        cols["l2"].append(float(st.grid.h * (state.u ** 2).sum()))
+        cols["l2"].append(float(st.grid.h * (st.u ** 2).sum()))
         cols["lam_sq"].append(tv.lam_sq)
         cols["slam_sq"].append(tv.slam_sq)
         cols["z_plain"].append(tv.z_plain)
 
-    sample(state)
+    sample()
     for _ in range(cfg.n_steps):
-        state = st.step(state)
-        sample(state)
+        st.step()
+        sample()
     return {k: np.array(v) for k, v in cols.items()}
 
 
@@ -551,9 +528,9 @@ def live_records(cfg):
     P = assemble_P(gains, cfg.kernel)
     recs = []
 
-    def record(state):
-        u = state.u
-        tv = weighted_trace(state.history, st.trace_weights)
+    def record():
+        u = st.u
+        tv = weighted_trace(st.history, st.trace_weights)
         l2 = float(h * (u ** 2).sum())
         E1 = float(h * (grid.x * u ** 2).sum())
         w0 = op.trace_uxx0(u)
@@ -564,18 +541,18 @@ def live_records(cfg):
         E2 = absb * tv.z_exp
         V = np.array([w0, tv.memory])
         recs.append(dict(
-            t=state.t_now, E=E, E1=E1, E2=E2, xi=E + gains.mu1 * E1 + gains.mu2 * E2,
+            t=st.history.t_now, E=E, E1=E1, E2=E2, xi=E + gains.mu1 * E1 + gains.mu2 * E2,
             w0=w0, F=gains.alpha * w0 + gains.beta * tv.memory,
             qform=float(V @ P @ V), l2=l2,
             h2seminorm=float(h * (0.5 * w0 * w0 + (uxx ** 2).sum()
                                   + 0.5 * uxxL * uxxL))))
 
-    state = st.initial_state()
-    record(state)
+    st.initial_state()
+    record()
     for k in range(1, cfg.n_steps + 1):
-        state = st.step(state)
+        st.step()
         if k % cfg.record_every == 0 or k == cfg.n_steps:
-            record(state)
+            record()
     return recs
 
 
