@@ -3,7 +3,7 @@
 Single JSON config document; all quantities nondimensional.  Outputs land
 under --out: certificate.json (check), series.csv + report.json (run),
 sweep.csv (sweep), report.json (verify).  Exit codes: 0 success, 1 config
-error, 2 failed certificate, 3 solver abort, 4 I/O failure.
+or usage error, 2 failed certificate, 3 solver abort, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from dataclasses import replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,9 +125,11 @@ FIELDS = (
     Field("initial.z0.amplitude", when="initial.z0.type=sinusoid"),
     Field("initial.z0.omega", when="initial.z0.type=sinusoid"),
     Field("initial.z0.phase", NUMBER, 0.0, "initial.z0.type=sinusoid"),
+    # np.interp would hold an end value over the part of (-tau2, 0) left out
     Field("initial.z0.times", NUMBERS, REQUIRED, "initial.z0.type=tabulated",
-          ("nonempty and increasing",
-           lambda x, f: len(x) > 0 and all(a < b for a, b in zip(x, x[1:])))),
+          ("increasing, from at most -kernel.tau2 to at least 0",
+           lambda x, f: len(x) > 0 and x[0] <= -f["kernel.tau2"]
+           and x[-1] >= 0 and all(a < b for a, b in zip(x, x[1:])))),
     Field("initial.z0.values", NUMBERS, REQUIRED, "initial.z0.type=tabulated",
           ("as long as initial.z0.times",
            lambda x, f: len(x) == len(f["initial.z0.times"]))),
@@ -175,29 +177,6 @@ def _value(row: Field, v, f: dict):
     return x
 
 
-class _Row(NamedTuple):
-    """A FIELDS row with its path split once: the key tuple, the selector
-    path and the names it must read ((), if the row always applies), and
-    the key prefixes that the row names."""
-
-    field: Field
-    keys: tuple
-    selector: str
-    names: tuple
-    prefixes: tuple
-
-
-def _row(field: Field) -> _Row:
-    keys = tuple(field.path.split("."))
-    selector, _, names = field.when.partition("=")
-    return _Row(field, keys, selector, tuple(names.split("|")) if names else (),
-                tuple(keys[:i] for i in range(1, len(keys) + 1)))
-
-
-_ROWS = tuple(map(_row, FIELDS))
-_FIELD_TYPES = {row.path: row.type for row in FIELDS}
-
-
 def _unread(node: dict, named: set, prefix=()):
     for key, value in node.items():
         if prefix + (key,) not in named:
@@ -212,11 +191,13 @@ def _read(doc: dict, sections=None) -> dict:
     applying row names is an UnusedFieldError, whose message also lists the
     applying rows left out: a default may be what makes the key moot."""
     f, named, left_out = {}, set(), []
-    for row, keys, selector, names, prefixes in _ROWS:
+    for row in FIELDS:
+        keys = tuple(row.path.split("."))
+        selector, _, names = row.when.partition("=")
         if (sections is not None and keys[0] not in sections
-                or names and f[selector] not in names):
+                or names and f[selector] not in names.split("|")):
             continue
-        named.update(prefixes)
+        named.update(keys[:i] for i in range(1, len(keys) + 1))
         node = doc
         for i, key in enumerate(keys[:-1], 1):
             node = node.get(key, {})
@@ -453,7 +434,7 @@ def cmd_run(doc: dict, out: str) -> int:
 def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
     """A copy of `doc` with the numeric field `axis` set to `value`, added
     with its sections where `doc` leaves them out."""
-    kind = _FIELD_TYPES.get(axis)
+    kind = next((row.type for row in FIELDS if row.path == axis), None)
     if kind not in (NUMBER, INTEGER, NUMBER_OR_NULL):
         raise ConfigError(f"axis '{axis}': " + ("no such field" if kind is None
                                                 else "not a numeric field"))
@@ -506,17 +487,7 @@ def _sweep_worker(args) -> dict:
     return row
 
 
-def _worker_count(cli_value) -> int:
-    if cli_value is None:
-        return os.cpu_count() or 1
-    if cli_value < 1:
-        raise ConfigError(f"--workers must be a positive integer, got {cli_value}")
-    return cli_value
-
-
 def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
-    if not axis or not values:
-        raise ConfigError("sweep requires --axis and --values")
     jobs = []
     for i, v in enumerate(values):  # validate the axis, values, fields read
         if not math.isfinite(v):
@@ -628,35 +599,62 @@ def cmd_verify(doc: dict, out: str) -> int:
 # entry point
 
 
-def _parse_values(text: str):
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are config errors: exit 1, not 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _positive_int(text: str) -> int:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        n = int(text)
     except ValueError:
-        raise ConfigError(f"--values must be comma-separated numbers: {text!r}")
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return n
+
+
+def _parse_values(text: str) -> list:
+    try:
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text!r}")
+    return values
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="kaw",
+                     description="Kawahara boundary-feedback laboratory")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in ("check", "run", "sweep", "verify"):
+        sub = commands.add_parser(name)
+        sub.add_argument("--config", required=True)
+        sub.add_argument("--out", default=".")
+    sub = commands.choices["sweep"]
+    sub.add_argument("--axis", required=True)
+    sub.add_argument("--values", required=True, type=_parse_values)
+    sub.add_argument("--workers", type=_positive_int,
+                     default=os.cpu_count() or 1)
+    return parser
+
+
+# built once, at import: one process may call main() many times, and
+# building the parsers costs several parses
+_PARSER = _parser()
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="kaw", description="Kawahara boundary-feedback laboratory")
-    parser.add_argument("command", choices=["check", "run", "sweep", "verify"])
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=".")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--axis", default=None)
-    parser.add_argument("--values", default=None)
-    args = parser.parse_args(argv)
-
     try:
-        doc = load_config(args.config)
-        if args.command == "check":
-            return cmd_check(doc, args.out)
-        if args.command == "run":
-            return cmd_run(doc, args.out)
-        if args.command == "sweep":
-            values = _parse_values(args.values) if args.values else None
-            return cmd_sweep(doc, args.out, args.axis, values,
-                             _worker_count(args.workers))
-        return cmd_verify(doc, args.out)
+        args = vars(_PARSER.parse_args(argv))
+        command = {"check": cmd_check, "run": cmd_run, "sweep": cmd_sweep,
+                   "verify": cmd_verify}[args.pop("command")]
+        return command(load_config(args.pop("config")), **args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

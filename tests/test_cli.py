@@ -178,9 +178,16 @@ def test_exit_1_bad_sine_profile(tmp_path, capsys, u0):
     ({"gains": {"mu1": -1}}, "gains.mu1"),
     ({"kernel": {"tau1": 3.0}}, "kernel.tau1"),
     ({"numerics": {"dt": -0.01}}, "numerics.dt"),
+    # a table that leaves out part of (-kernel.tau2, 0)
+    ({"initial": {"z0": {"type": "tabulated", "times": [0, 1, 2],
+                         "values": [1, 5, 9]}}}, "initial.z0.times"),
+    ({"initial": {"z0": {"type": "tabulated", "times": [-2, -1],
+                         "values": [1, 5]}}}, "initial.z0.times"),
 ])
 def test_exit_1_malformed_field_named(tmp_path, capsys, patch, field):
-    """Each of these ended in a traceback or a silent zero-step run."""
+    """Each of these ended in a traceback, a silent zero-step run, or (a
+    tabulated z0 short of its domain) a run whose history np.interp held at
+    an end value."""
     doc = doc_with(**{k: v for k, v in patch.items() if isinstance(v, dict)})
     doc.update({k: v for k, v in patch.items() if not isinstance(v, dict)})
     rc = main(["run", "--config", write_doc(tmp_path, doc),
@@ -634,11 +641,6 @@ def test_sweep_float_axis_keeps_fractions():
     assert cli._sweep_axis_set(doc, "model.L", 3.5)["model"]["L"] == 3.5
 
 
-def test_worker_count():
-    assert cli._worker_count(8) == 8
-    assert cli._worker_count(None) >= 1
-
-
 def test_sweep_csv_quotes_failure_messages(tmp_path, reference_config_path,
                                           monkeypatch):
     """A failure message with ',', '"' and a newline round-trips through
@@ -666,14 +668,11 @@ def test_sweep_csv_quotes_failure_messages(tmp_path, reference_config_path,
     assert text.endswith("\n0.2,ok,true,,0.25,0.5,\n")
 
 
-@pytest.mark.parametrize("workers, values, pool_size", [
-    ("64", "0.3,0.4", 2), ("3", "0.1,0.2,0.3,0.4,0.5", 3)])
-def test_sweep_pool_no_larger_than_job_count(tmp_path, reference_config_path,
-                                             monkeypatch, workers, values,
-                                             pool_size):
-    """The pool starts all of its processes at the first submit, so it gets
-    at most one per job.  A stand-in pool records its size and runs the
-    jobs inline; nothing is forked."""
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The sizes of the pools a sweep makes.  A stand-in pool records its
+    size and runs the jobs inline, with a worker that makes no run; nothing
+    is forked."""
     import concurrent.futures
 
     sizes = []
@@ -699,11 +698,33 @@ def test_sweep_pool_no_larger_than_job_count(tmp_path, reference_config_path,
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool,
                         raising=False)
     monkeypatch.setattr(cli, "_sweep_worker", fake_worker)
+    return sizes
+
+
+@pytest.mark.parametrize("workers, values, pool_size", [
+    ("64", "0.3,0.4", 2), ("3", "0.1,0.2,0.3,0.4,0.5", 3)])
+def test_sweep_pool_no_larger_than_job_count(tmp_path, reference_config_path,
+                                             inline_pool, workers, values,
+                                             pool_size):
+    """The pool starts all of its processes at the first submit, so it gets
+    at most one per job."""
     rc = main(["sweep", "--config", reference_config_path, "--out",
                str(tmp_path), "--axis", "gains.alpha", "--values", values,
                "--workers", workers])
     assert rc == 0
-    assert sizes == [pool_size]
+    assert inline_pool == [pool_size]
+
+
+def test_sweep_workers_default_to_cpu_count(tmp_path, reference_config_path,
+                                            inline_pool):
+    """Without --workers, a sweep of five values gets a pool of
+    min(CPU count, 5) processes, and none on one CPU."""
+    rc = main(["sweep", "--config", reference_config_path, "--out",
+               str(tmp_path), "--axis", "gains.alpha",
+               "--values", "0.1,0.2,0.3,0.4,0.5"])
+    assert rc == 0
+    size = min(os.cpu_count() or 1, 5)
+    assert inline_pool == ([size] if size > 1 else [])
 
 
 @pytest.mark.parametrize("values", ["nan,inf", "0.3,-inf", "nan"])
@@ -729,6 +750,44 @@ def test_sweep_non_positive_workers_is_config_error(tmp_path,
     out, err = capsys.readouterr()
     assert out == "" and "--workers" in err
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run"], "--config"),
+    (["simulate", "--config", "CFG"], "simulate"),
+    (["sweep", "--config", "CFG", "--axis", "gains.alpha",
+      "--values", "0.3,0.4", "--workers", "x"], "--workers"),
+    (["run", "--config", "CFG", "--workers", "2"], "--workers"),
+    (["verify", "--config", "CFG", "--axis", "gains.alpha"], "--axis"),
+    (["sweep", "--config", "CFG", "--axis", "gains.alpha"], "--values"),
+    (["sweep", "--config", "CFG", "--axis", "gains.alpha", "--values", ","],
+     "--values"),
+])
+def test_usage_error_exits_1_naming_the_flag(tmp_path, reference_config_path,
+                                             capsys, argv, named):
+    """A usage error is a config error, exit 1, and a flag that the command
+    does not take is one: `run --workers 2` ran the config and exited 0."""
+    argv = [reference_config_path if a == "CFG" else a for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ([], {"--help"}),
+    (["check"], {"--help", "--config", "--out"}),
+    (["run"], {"--help", "--config", "--out"}),
+    (["verify"], {"--help", "--config", "--out"}),
+    (["sweep"], {"--help", "--config", "--out", "--axis", "--values",
+                 "--workers"}),
+])
+def test_help_exits_0_listing_the_command_flags(capsys, argv, flags):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--help"])
+    assert exit_.value.code == 0
+    assert set(re.findall(r"--\w+", capsys.readouterr().out)) == flags
 
 
 # ---------------------------------------------------------------------------
