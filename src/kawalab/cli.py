@@ -651,7 +651,11 @@ _PARSER = _parser()
 
 def main(argv=None) -> int:
     try:
-        args = vars(_PARSER.parse_args(argv))
+        args, extra = _PARSER.parse_known_args(argv)
+        if extra:   # flags that the command's parser does not take
+            raise ConfigError(f"{_PARSER.prog} {args.command}: unrecognized "
+                              f"arguments: {' '.join(extra)}")
+        args = vars(args)
         command = {"check": cmd_check, "run": cmd_run, "sweep": cmd_sweep,
                    "verify": cmd_verify}[args.pop("command")]
         return command(load_config(args.pop("config")), **args)

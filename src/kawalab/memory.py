@@ -11,8 +11,9 @@ interpolation).  Gain factors beta, |beta| are applied by callers.
 The general forms of these functionals, `memory_integral`,
 `trace_sq_integral` and `z_energy`, interpolate the history at freshly built
 lag nodes on every call; they live in `tests/conftest.py` as the test
-oracle.  The solver uses set-up-once forms of them: `feedback_integrals`
-(the memory feedback at the one or two times of a step, bit-identical to
+oracle.  The solver uses batched forms of them: `feedback_block` (the
+memory feedback of a block of steps at once, up to about tau1/dt of them,
+whose lag nodes all lie in the stored past; each value bit-identical to
 `memory_integral`, because the trajectory amplifies a single rounding
 change) and `trace_series` (the observation functionals behind the energy,
 the Lyapunov functional and the boundary flux, as fixed weights run along
@@ -27,6 +28,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import MemoryKernel
+
+try:    # np.interp's compiled routine, without the wrapper's dtype dispatch
+    from numpy._core.multiarray import interp as _interp
+except ImportError:     # another numpy layout: the wrapper, with the same values
+    _interp = np.interp
 
 
 class HistoryBuffer:
@@ -85,6 +91,10 @@ class HistoryBuffer:
         np.subtract(self.t_now, self._lags[self.maxlen - m:], out=times)
         return times, self._data[self._n - m:self._n]
 
+    def __len__(self) -> int:
+        """The number of stored samples."""
+        return self._n
+
     def push(self, w_new: float) -> None:
         self._data[self._n] = w_new     # IndexError past the room
         self._n += 1
@@ -103,77 +113,139 @@ def _lag_grid(dt: float, lo: float, hi: float, off: float):
     return np.concatenate(([lo], nodes[keep], [hi])), ks[keep]
 
 
-class LagQuadrature:
-    """The set-up of the oracle `memory_integral`, cached per tuple of offsets
-    t_eval - t_now.
+# the most lag nodes in a block, so that its work arrays stay small (~0.5 MB):
+# blocks with ~2 MB of them ran slower per step than one step at a time
+_BLOCK_NODES = 8192
 
-    The lag nodes depend on the time only through that offset, which takes a
-    handful of distinct values in a run (t_eval is t_now or t_now + dt, and
-    (t_now + dt) - t_now rounds to a few values); for each tuple a `LagNodes`
-    is kept.
+
+class _Block:
+    """The arrays of a block of steps.  `nodes` holds each step's lag nodes
+    as rows (s, lam(s), the spacing to the next node), over the segment of
+    t, the first `ns` nodes, then that of t + dt; the spacing that spans
+    the two segments, and the last one, are unused.  The work arrays of
+    `feedback_block` and the views it reads and writes have one row per
+    step, or none for a block of one step given `nodes` of shape (3, N):
+    numpy calls on 1-D arrays and scalars cost half as much."""
+
+    def __init__(self, nodes: np.ndarray, ns: int, maxlen: int):
+        self.nodes, self.ns = nodes, ns
+        rows, N = nodes.shape[:-2], nodes.shape[-1]
+        self.s0, self.s1 = nodes[..., 0, :ns], nodes[..., 0, ns:]
+        self.d = nodes[..., 2, :-1]
+        if rows:
+            clock = np.empty((rows[0] + 1, 1))
+            self.t0, self.t1 = clock[:-1], clock[1:]
+        else:
+            clock = np.empty(2)
+            self.t0, self.t1 = clock[0, ...], clock[1, ...]
+        self.clock = clock.reshape(-1)
+        x, y = np.empty(rows + (N,)), np.empty(rows + (N,))
+        self.x0, self.x1 = x[..., :ns], x[..., ns:]
+        self.y_hi, self.y_lo = y[..., 1:], y[..., :-1]
+        self.times = np.empty(rows + (maxlen,))
+        self.terms = np.empty(rows + (N - 1,))
+        self.terms0, self.terms1 = self.terms[..., :ns - 1], self.terms[..., ns:]
+        sums = np.empty((2,) + rows)
+        self.sums0, self.sums1 = sums[0, ...], sums[1, ...]
+        self.sums = sums.reshape(2, -1)
+        # each step's x, window times, lam and y
+        self.steps = (list(zip(x, self.times, nodes[:, 1], y)) if rows
+                      else [(x, self.times, nodes[1], y)])
+
+
+def _step_block(kernel: MemoryKernel, dt: float, off: float,
+                maxlen: int) -> _Block:
+    """The block of one step whose clock advances by off = (t + dt) - t."""
+    segs = [_lag_grid(dt, kernel.tau1, kernel.tau2, o)[0] for o in (0.0, off)]
+    s = np.concatenate(segs)
+    nodes = np.stack((s, np.concatenate([np.asarray(kernel(x)) for x in segs]),
+                      np.diff(s, append=s[-1])))
+    nodes.flags.writeable = False
+    return _Block(nodes, len(segs[0]), maxlen)
+
+
+def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
+                   be_steps: int = 0, arrays: dict | None = None) -> list:
+    """The memory feedback of the next steps of a run, one float per step:
+    memory_integral at t + dt for the first `be_steps` (backward Euler) and
+    the mean of its values at t and t + dt for the rest (Crank-Nicolson),
+    where t is the step's clock.  Each value is bit for bit what
+    `memory_integral` gives on the buffer of that step.
+
+    Since tau1 >= dt the feedback reads only the past.  The block holds as
+    many steps, up to `steps` and at least one, as have all their lag nodes
+    at or before the newest sample stored now, with lag nodes of one length
+    and at most `_BLOCK_NODES` nodes in all.  Each step's clock is advanced
+    by the same repeated `+ dt` as `push`, and each step interpolates in its
+    own window, cut off at the stored samples; the nodes, the kernel
+    weights and the trapezoid sums are 2-D array work over the block.
+
+    `arrays`, one dict per run, keeps the arrays of the blocks between
+    calls: the one-step block of each offset t + dt - t (a run visits a
+    handful, all from rounding) and the work arrays of the last longer
+    block of each node count.
     """
-
-    _MAX_OFFSETS = 256  # a bound on the cache, far above what a run visits
-
-    def __init__(self, kernel: MemoryKernel):
-        self.kernel = kernel
-        self._cache = {}
-
-    def nodes(self, dt: float, offs: tuple) -> "LagNodes":
-        key = (dt, offs)
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) >= self._MAX_OFFSETS:
-                self._cache.clear()
-            hit = self._cache[key] = LagNodes(self.kernel, dt, offs)
-        return hit
-
-
-class LagNodes:
-    """The lag nodes of each offset, one segment per offset in concatenated
-    arrays: the kernel values, the node spacings (the one that spans two
-    segments is not used) and the scratch arrays of `feedback_integrals`,
-    which make it single-threaded per `LagQuadrature`."""
-
-    def __init__(self, kernel: MemoryKernel, dt: float, offs: tuple):
-        self.segs = [_lag_grid(dt, kernel.tau1, kernel.tau2, off)[0]
-                     for off in offs]
-        self.lam = np.concatenate([np.asarray(kernel(s)) for s in self.segs])
-        self.d = np.diff(np.concatenate(self.segs))
-        n = len(self.lam)
-        self.x, self.y, self.terms = np.empty(n), np.empty(n), np.empty(n - 1)
-        self.y_hi, self.y_lo = self.y[1:], self.y[:-1]
-        ends = np.cumsum([len(s) for s in self.segs]).tolist()
-        bounds = list(zip([0] + ends[:-1], ends))
-        self.x_segs = [self.x[lo:hi] for lo, hi in bounds]
-        self.term_segs = [self.terms[lo:hi - 1] for lo, hi in bounds]
-
-
-def feedback_integrals(buf: HistoryBuffer, quad: LagQuadrature,
-                       t_evals: tuple) -> list:
-    """[memory_integral(buf, quad.kernel, t) for t in t_evals], bit for bit,
-    from cached nodes and one interpolation over the nodes of all times."""
-    t_now, dt = buf.t_now, buf.dt
-    tau1, tau2 = quad.kernel.tau1, quad.kernel.tau2
-    nodes = quad.nodes(dt, tuple([t - t_now for t in t_evals]))
-    times, w = buf.window()
+    dt, tau1, tau2 = buf.dt, kernel.tau1, kernel.tau2
+    n0, maxlen = len(buf), buf.maxlen
     eps = 1e-9 * dt
-    oldest = t_now - (len(w) - 1) * dt - eps     # t_now - span
-    newest = t_now + eps
-    for t, s, x in zip(t_evals, nodes.segs, nodes.x_segs):
-        # t - s runs from t - tau1 down to t - tau2, the nodes' exact ends
-        if t - tau2 < oldest:
+    arrays = {} if arrays is None else arrays
+    t = buf.t_now
+    clock, blocks = [t], []
+    for j in range(max(1, min(steps, math.ceil(tau1 / dt - 1e-6) - 1))):
+        te = t + dt     # the clock, advanced as `push` advances it
+        # the top node te - tau1 must lie at or before the newest stored
+        # sample, whose time in this step's window is t - j dt, and the
+        # block holds at most _BLOCK_NODES nodes
+        if j and (te - tau1 > t - dt * j
+                  or (j + 1) * blocks[0].nodes.shape[1] > _BLOCK_NODES):
+            break
+        m = min(n0 + j, maxlen)
+        # the span checks of the oracle, at the times the step evaluates
+        if (te if j < be_steps else t) - tau2 < t - (m - 1) * dt - eps:
             raise ValueError("insufficient history span for the memory integral")
-        if t - tau1 > newest:
+        if te - tau1 > t + eps:
             raise ValueError("requested time outside the stored history span")
-        np.subtract(t, s, out=x)
-    terms = nodes.terms
-    np.multiply(nodes.lam, np.interp(nodes.x, times, w), out=nodes.y)
+        off = te - t
+        b = arrays.get(off)
+        if b is None:
+            b = arrays[off] = _step_block(kernel, dt, off, maxlen)
+        if blocks and b.nodes.shape != blocks[0].nodes.shape:
+            break   # lag nodes of another length start the next block
+        blocks.append(b)
+        clock.append(te)
+        t = te
+    n = len(blocks)
+    blk = blocks[0]
+    if n > 1:
+        # keyed by the shape (3, N) of a step's nodes, never a float offset
+        shape = (n,) + blk.nodes.shape
+        work = arrays.get(shape[1:])
+        if work is None or work.nodes.shape != shape:
+            work = arrays[shape[1:]] = _Block(np.empty(shape), blk.ns, maxlen)
+        blk = work
+        np.stack([b.nodes for b in blocks], out=blk.nodes)
+
+    blk.clock[:] = clock
+    np.subtract(blk.t0, blk.s0, out=blk.x0)
+    np.subtract(blk.t1, blk.s1, out=blk.x1)
+    np.subtract(blk.t0, buf._lags, out=blk.times)   # `window()`'s times
+    data = buf._data
+    for j, (x, times, lam, y) in enumerate(blk.steps):
+        a = min(n0 + j, maxlen)
+        w = _interp(x, times[maxlen - a:maxlen - j], data[n0 + j - a:n0])
+        np.multiply(lam, w, out=y)
     # np.trapezoid's arithmetic, d * (y[1:] + y[:-1]) / 2.0, summed per segment
-    np.add(nodes.y_hi, nodes.y_lo, out=terms)
-    np.multiply(nodes.d, terms, out=terms)
+    terms = blk.terms
+    np.add(blk.y_hi, blk.y_lo, out=terms)
+    np.multiply(blk.d, terms, out=terms)
     np.divide(terms, 2.0, out=terms)
-    return [float(np.add.reduce(ts)) for ts in nodes.term_segs]
+    np.add.reduce(blk.terms0, axis=-1, out=blk.sums0)
+    np.add.reduce(blk.terms1, axis=-1, out=blk.sums1)
+    m0, m1 = blk.sums.tolist()
+    mem = [0.5 * (a + b) for a, b in zip(m0, m1)]
+    be = max(be_steps, 0)
+    mem[:be] = m1[:be]      # the backward-Euler steps
+    return mem
 
 
 # ---------------------------------------------------------------------------

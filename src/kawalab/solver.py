@@ -14,9 +14,9 @@ compiled wrappers without importing scipy.linalg.  Every state-advancing
 operation keeps the arithmetic of the plain formulation bit for bit: the
 `I - dt/2 A` matvec (the dense N x N product, computed as BLAS products on
 narrow row blocks, `_rhs_layout`), the memory feedback of the oracle
-`memory_integral` in `tests/conftest.py` (evaluated by
-`memory.feedback_integrals`), the D1 products and the band solve.  A single
-rounding change early in a run moves the final energy by up to ~1e-5
+`memory_integral` in `tests/conftest.py` (evaluated for a block of steps at
+once by `memory.feedback_block`), the D1 products and the band solve.  A
+single rounding change early in a run moves the final energy by up to ~1e-5
 relative.
 
 Two rules keep those bits while the step stays lean.  Constants set up
@@ -56,8 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .discretization import BANDWIDTH, Grid, SpatialOperator, build_operator
-from .memory import (HistoryBuffer, LagQuadrature, TraceWeights,
-                     feedback_integrals, trace_series)
+from .memory import HistoryBuffer, TraceWeights, feedback_block, trace_series
 from .model import FeedbackGains, MemoryKernel, PhysicalParams
 
 
@@ -277,7 +276,8 @@ class Stepper:
     the `history` buffer.  `initial_state` sets it and `step`, the single
     time advance, advances it in place.  Also holds the factorized pieces,
     the constants and the work arrays of a step, which make a Stepper
-    single-threaded."""
+    single-threaded, and the memory feedback of the current block of steps,
+    valid only at the step index and sample count it was built from."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -306,8 +306,8 @@ class Stepper:
         # backward-Euler startup system (Rannacher smoothing of rough data)
         self.be = _ImplicitSystem(self.op, dt, alpha, 1.0)
         self.n_startup = config.startup_steps
-        self.memory_quad = LagQuadrature(config.kernel)
         self.trace_weights = TraceWeights(config.kernel, dt, config.gains.delta)
+        self._block_arrays = {}     # the arrays of `feedback_block`
         if config.mms_amplitude is not None:
             self.mms_exact, self.mms_forcing = _build_mms(
                 config.params, config.mms_amplitude)
@@ -388,14 +388,16 @@ class Stepper:
         be = self.k < self.n_startup
 
         # explicit memory feedback, fully known from history since tau1 >= dt:
-        # midpoint value for CN, end-of-step value for the BE startup steps
-        if be:
-            (mem,) = feedback_integrals(buf, self.memory_quad, (t + dt,))
-            t_force = t + dt
-        else:
-            m0, m1 = feedback_integrals(buf, self.memory_quad, (t, t + dt))
-            mem = 0.5 * (m0 + m1)
-            t_force = t + 0.5 * dt
+        # midpoint value for CN, end-of-step value for the BE startup steps,
+        # from the block built at step _block_k on _block_n stored samples
+        i = self.k - self._block_k
+        if not 0 <= i < len(self._block) or len(buf) != self._block_n + i:
+            self._block = feedback_block(buf, self.config.kernel,
+                                         self.config.n_steps - self.k,
+                                         self.n_startup - self.k,
+                                         self._block_arrays)
+            self._block_k, self._block_n, i = self.k, len(buf), 0
+        mem = self._block[i]
         np.multiply(self._neg_g_F, self._beta * mem, out=expl)
 
         nl = None
@@ -409,6 +411,7 @@ class Stepper:
                                                 out=self._corr), out=nl_mid)
             np.subtract(expl, nl_mid, out=expl)
         if self.mms_forcing is not None:
+            t_force = t + dt if be else t + 0.5 * dt
             np.add(expl, self.mms_forcing(self.grid.x, t_force), out=expl)
         np.multiply(expl, dt, out=expl)
 
@@ -440,6 +443,7 @@ class Stepper:
                                                   cfg.kernel.tau2, cfg.n_steps)
         self.w0 = self.op.trace_uxx0(self.u)
         self.prev_nl, self.k = None, 0
+        self._block, self._block_k, self._block_n = [], 0, 0
 
 
 @dataclass

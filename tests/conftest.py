@@ -131,7 +131,7 @@ def det_P_closed_form(gains: FeedbackGains, kernel: MemoryKernel) -> float:
 
 # ---------------------------------------------------------------------------
 # interpolating history functionals: the general forms of
-# `memory.feedback_integrals` and `memory.trace_series`
+# `memory.feedback_block` and `memory.trace_series`
 
 
 def copy_history(buf: HistoryBuffer, steps: int) -> HistoryBuffer:

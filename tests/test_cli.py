@@ -757,7 +757,8 @@ def test_sweep_non_positive_workers_is_config_error(tmp_path,
     (["simulate", "--config", "CFG"], "simulate"),
     (["sweep", "--config", "CFG", "--axis", "gains.alpha",
       "--values", "0.3,0.4", "--workers", "x"], "--workers"),
-    (["run", "--config", "CFG", "--workers", "2"], "--workers"),
+    (["run", "--config", "CFG", "--workers", "2"],
+     "kaw run: unrecognized arguments: --workers 2"),
     (["verify", "--config", "CFG", "--axis", "gains.alpha"], "--axis"),
     (["sweep", "--config", "CFG", "--axis", "gains.alpha"], "--values"),
     (["sweep", "--config", "CFG", "--axis", "gains.alpha", "--values", ","],

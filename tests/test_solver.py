@@ -294,6 +294,8 @@ OFFGRID_KERNELS = {
     "exponential": MemoryKernel(0.955, 1.853, "exponential", c=1.0, sigma=0.7),
     "tabulated": MemoryKernel(0.955, 1.853, "tabulated",
                               samples=((0.9, 1.0), (1.3, 0.6), (1.9, 1.2))),
+    # tau1 = 2 dt at dt = 0.01: every block of the memory feedback is one step
+    "tau1-2dt": MemoryKernel(0.02, 0.853, "exponential", c=1.0, sigma=0.7),
 }
 
 
@@ -329,6 +331,33 @@ def test_fast_step_matches_plain_formulation_bitwise(form, case):
         assert (st.u == u).all(), k
         assert (st.history.window()[1] == buf.window()[1]).all(), k
     assert st.history.t_now == buf.t_now
+
+
+def test_unexpected_push_rebuilds_the_feedback_block():
+    """A block of the memory feedback is used only at the sample count and
+    step index it was built from.  A push between steps that the block did
+    not expect, or a new initial state, makes the next step build a new one,
+    and every step stays that of the plain formulation."""
+    cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, 1.0),
+                    FeedbackGains(0.45, 0.3, 0.01, 0.01),
+                    OFFGRID_KERNELS["constant"], N=64, dt=0.01, T_end=3.0,
+                    u0=lambda x: 2.0 * np.sin(np.asarray(x)),
+                    z0=lambda t: 0.3 * math.sin(2.0 * t + 0.4))
+    st = Stepper(cfg)
+    ref = ReferenceStepper(st)
+    # the second pass starts over inside the first pass's one block, of 44
+    # steps, with other initial samples; it pushes twice inside a block
+    for steps, shift, extra in ((5, 0.0, ()), (60, 0.25, (10, 37))):
+        st.initial_state()
+        st.history.trace[:] += shift
+        u, buf, prev_nl = st.u, copy_history(st.history, 300), None
+        for k in range(steps):
+            if k in extra:
+                st.history.push(0.7)
+                buf.push(0.7)
+            st.step()
+            u, prev_nl = ref.step(u, buf, k, prev_nl)
+            assert (st.u == u).all(), (shift, k)
 
 
 @pytest.mark.parametrize("N", [128, 2048])
