@@ -757,8 +757,7 @@ def test_sweep_non_positive_workers_is_config_error(tmp_path,
     (["simulate", "--config", "CFG"], "simulate"),
     (["sweep", "--config", "CFG", "--axis", "gains.alpha",
       "--values", "0.3,0.4", "--workers", "x"], "--workers"),
-    (["run", "--config", "CFG", "--workers", "2"],
-     "kaw run: unrecognized arguments: --workers 2"),
+    (["run", "--config", "CFG", "--workers", "2"], "--workers"),
     (["verify", "--config", "CFG", "--axis", "gains.alpha"], "--axis"),
     (["sweep", "--config", "CFG", "--axis", "gains.alpha"], "--values"),
     (["sweep", "--config", "CFG", "--axis", "gains.alpha", "--values", ","],
@@ -773,6 +772,18 @@ def test_usage_error_exits_1_naming_the_flag(tmp_path, reference_config_path,
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error:") and named in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unrecognized_flag_error_names_the_command(tmp_path,
+                                                   reference_config_path,
+                                                   capsys):
+    rc = main(["run", "--config", reference_config_path, "--out",
+               str(tmp_path / "out"), "--workers", "2"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "kaw run: unrecognized arguments: --workers 2" in err
     assert not (tmp_path / "out").exists()
 
 
