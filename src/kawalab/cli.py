@@ -24,7 +24,7 @@ import numpy as np
 from . import diagnostics
 from .model import (Certificate, ConditionError, FeedbackGains, MemoryKernel,
                     PhysicalParams, build_certificate, r_max)
-from .solver import SimConfig, SolverAbort, run
+from .solver import MAX_N, SimConfig, SolverAbort, run
 
 
 class ConfigError(ValueError):
@@ -38,9 +38,8 @@ class UnusedFieldError(ConfigError):
 
 
 # Limits that turn an absurd value into a config error instead of a failed
-# allocation or an endless run.  The solver's right-hand side is checked to
-# equal the dense product for N in [12, 300] and about 2048 and 4096 only.
-MAX_N = 8192
+# allocation or an endless run; `numerics.N` is at most solver.MAX_N, the
+# largest N whose right-hand side is checked to equal the dense product.
 MAX_SAMPLES = 10 ** 7   # time steps T_end/dt, and history samples tau2/dt
 
 

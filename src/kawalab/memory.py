@@ -39,12 +39,12 @@ class HistoryBuffer:
     """The boundary trace w at spacing dt, and the clock t_now of its newest
     sample.
 
-    `trace` is every sample since the initial history, oldest first.
-    `window()` gives its last `maxlen` samples, which cover at least
-    [t_now - tau2, t_now], with their times.  The one array has room for
-    `steps` pushes: `push` writes into it in place, never moving a stored
-    sample, and raises IndexError past that room.  Single-writer: the
-    time loop pushes once per completed step.
+    `trace` is every sample since the initial history, oldest first; its
+    last `maxlen` samples, at times t_now - `_lags`, cover at least
+    [t_now - tau2, t_now].  The one array has room for `steps` pushes:
+    `push` writes into it in place, never moving a stored sample, and raises
+    IndexError past that room.  Single-writer: the time loop pushes once per
+    completed step.
     """
 
     def __init__(self, dt: float, tau2: float, samples: np.ndarray,
@@ -56,10 +56,9 @@ class HistoryBuffer:
         self._n = len(samples)
         self._data = np.empty(self._n + steps)
         self._data[:self._n] = samples
-        # lag dt*k of each of the last maxlen samples, oldest first: the
-        # times of `window` are t_now - lags
+        # lag dt*k of each of the last maxlen samples, oldest first: their
+        # times are t_now - lags
         self._lags = dt * np.arange(self.maxlen - 1, -1, -1)
-        self._times = np.empty(self.maxlen)     # `window`'s times
         self.t_now = 0.0
         if self.span < tau2:
             raise ValueError("initial history does not span tau2")
@@ -82,14 +81,6 @@ class HistoryBuffer:
     @property
     def span(self) -> float:
         return (min(self._n, self.maxlen) - 1) * self.dt
-
-    def window(self):
-        """(times, w) of the last `maxlen` samples: the times in an array
-        that the next call overwrites, w a view."""
-        m = min(self._n, self.maxlen)
-        times = self._times[self.maxlen - m:]
-        np.subtract(self.t_now, self._lags[self.maxlen - m:], out=times)
-        return times, self._data[self._n - m:self._n]
 
     def __len__(self) -> int:
         """The number of stored samples."""
@@ -228,7 +219,7 @@ def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
     blk.clock[:] = clock
     np.subtract(blk.t0, blk.s0, out=blk.x0)
     np.subtract(blk.t1, blk.s1, out=blk.x1)
-    np.subtract(blk.t0, buf._lags, out=blk.times)   # `window()`'s times
+    np.subtract(blk.t0, buf._lags, out=blk.times)   # the samples' times
     data = buf._data
     for j, (x, times, lam, y) in enumerate(blk.steps):
         a = min(n0 + j, maxlen)

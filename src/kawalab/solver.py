@@ -13,11 +13,13 @@ Sherman-Morrison correction; `_lapack` loads those two routines from scipy's
 compiled wrappers without importing scipy.linalg.  Every state-advancing
 operation keeps the arithmetic of the plain formulation bit for bit: the
 `I - dt/2 A` matvec (the dense N x N product, computed as BLAS products on
-narrow row blocks, `_rhs_layout`), the memory feedback of the oracle
-`memory_integral` in `tests/conftest.py` (evaluated for a block of steps at
-once by `memory.feedback_block`), the D1 products and the band solve.  A
-single rounding change early in a run moves the final energy by up to ~1e-5
-relative.
+narrow row blocks, `_rhs_layout`, for N up to `MAX_N`; `SimConfig` and
+`Stepper` accept a larger N, where the blocks hold the exact entries but the
+product may differ from the dense one in its last bits), the memory feedback
+of the oracle `memory_integral` in `tests/conftest.py` (evaluated for a
+block of steps at once by `memory.feedback_block`), the D1 products and the
+band solve.  A single rounding change early in a run moves the final energy
+by up to ~1e-5 relative.
 
 Two rules keep those bits while the step stays lean.  Constants set up
 once are the scalar prefixes that Python forms left to right in the plain
@@ -190,48 +192,36 @@ def _build_mms(params: PhysicalParams, amplitude: float):
 
 
 # The CN right-hand side (I - dt/2 A) u is one BLAS dgemv per row block on a
-# narrow column window.  The layout follows OpenBLAS's dgemv_t kernel inside
-# the full N x N product, so that every row sums its terms in the same order
-# and the result equals that product bit for bit (checked with OpenBLAS
-# 0.3.31 on one thread for every N from 12 to 300 and for N about 2048 and
-# 4096, in tests/test_solver.py).  With another BLAS the blocks still hold
-# the exact entries, so at most the last bits of the product change.
+# narrow column window.  Up to MAX_N the dense N x N product is one column
+# block of OpenBLAS's dgemv_t kernel, and each window keeps that kernel's
+# order of the terms of every row, so the result equals the dense product
+# bit for bit (checked with OpenBLAS 0.3.31 on one thread for every N from
+# 12 to 300 and for N = 2030 and 2048, in tests/test_solver.py).  With
+# another BLAS, or past MAX_N, the blocks still hold the exact entries, so at
+# most the last bits of the product change.
 _RHS_ROWS = 64          # rows per block
-_GEMV_COLS = 2048       # dgemv_t's column block
 _WINDOW_ALIGN = 16      # window starts, and ends short of N, on multiples
+# The largest N of a config (`cli`'s `numerics.N` check): the top of the range
+# checked bit for bit above.  Finer grids give worse answers, as round-off
+# grows with cond(I + dt/2 A) ~ dt h^-5: the manufactured-solution error is
+# 5.6e-5 at N = 2048 and 1.9e-3 at 4096.
+MAX_N = 2048
 
 
 def _rhs_layout(N: int) -> list:
     """Row blocks (r0, r1, c0, c1) of the CN right-hand side.
 
-    Row cuts fall on multiples of 4, the kernel's row groups, and the N % 4
-    leftover rows stay with the last full group (a one-row block would go to
-    numpy's dot path, which rounds differently).  Each window covers the
-    band of its rows, starts at a multiple of 16 and ends at one or at N, so
-    the N % 4 tail columns stay in the same call.  No window crosses a
-    multiple of 2048: the 8 rows about each interior multiple take their full
-    rows.  N <= 128 is one block, the full product.
+    Blocks of 64 rows are cut on multiples of 4, the kernel's row groups,
+    and the N % 4 leftover rows go in the last block (a one-row block would
+    go to numpy's dot path, which rounds differently).  Each window covers
+    the band of its rows, starts at a multiple of 16 and ends at one or at
+    N, so the N % 4 tail columns stay in the same call.
     """
-    if N <= 2 * _RHS_ROWS:
-        return [(0, N, 0, N)]
-    n4 = N - N % 4
-    cuts = set(range(_RHS_ROWS, n4, _RHS_ROWS))
-    full_rows = set()
-    for m in range(_GEMV_COLS, N, _GEMV_COLS):
-        cuts.discard(m)
-        cuts |= {m - 4, m + 4}
-        full_rows.add(m - 4)
-    cuts = sorted(c for c in cuts if c < n4)
+    cuts = list(range(_RHS_ROWS, N - N % 4, _RHS_ROWS))
     a = _WINDOW_ALIGN
-    layout = []
-    for r0, r1 in zip([0] + cuts, cuts + [N]):
-        if r0 in full_rows:
-            c0, c1 = 0, N
-        else:
-            c0 = max(0, r0 - BANDWIDTH) // a * a
-            c1 = min(N, -(-(r1 + BANDWIDTH) // a) * a)
-        layout.append((r0, r1, c0, c1))
-    return layout
+    return [(r0, r1, max(0, r0 - BANDWIDTH) // a * a,
+             min(N, -(-(r1 + BANDWIDTH) // a) * a))
+            for r0, r1 in zip([0] + cuts, cuts + [N])]
 
 
 class _ImplicitSystem:

@@ -9,8 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from kawalab.discretization import (_GL1, _GL2, _D1, _D3, _D5, _GR1_F, _GR1_W,
-                                    _GR2_F, _GR2_W)
+from kawalab.discretization import _D1, _D3, _D5
 from kawalab.memory import HistoryBuffer, TraceValues, TraceWeights, _lag_grid
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, r_max
 from kawalab.solver import SimConfig
@@ -71,13 +70,32 @@ def reference_sim_config(linear_only=False, **over):
     return SimConfig(**base)
 
 
+def _ghost_fit(powers, nodes, xi):
+    """Weights on the values at `nodes` (in units of h) of the fit
+    sum_k c_k y^k, k in `powers`, evaluated at the ghost node y = xi."""
+    V = np.array([[float(n) ** k for k in powers] for n in nodes])
+    return np.array([xi ** k for k in powers]) @ np.linalg.inv(V)
+
+
+def _right_ghost(xi):
+    """(weights on u_N..u_{N-3}, coefficient of F h^2) of the ghost at
+    y = xi h about x = L, from the fit F y^2 / 2 + sum_{k=3..6} d_k y^k
+    matched at y = -h..-4h: the sum is fitted to u - F y^2 / 2 there."""
+    nodes = [-1.0, -2.0, -3.0, -4.0]
+    w = _ghost_fit(range(3, 7), nodes, xi)
+    return w, 0.5 * xi * xi - w @ (0.5 * np.array([n * n for n in nodes]))
+
+
 def dense_operator_oracle(params, grid):
     """(A, g_F) assembled as dense N x N rows, one extended row per stencil
     entry: the assembly that `build_operator` replaced, kept as its oracle.
 
     Every extended value u_{-2}..u_{N+3} is a row of weights over the
     interior values plus a coefficient of F; row j of A sums scale * c times
-    the rows its stencil reads.
+    the rows its stencil reads.  The ghost weights come from the fits that
+    the `discretization` docstring states, solved here: on the left,
+    sum_{k=2..6} c_k x^k through u_1..u_5 at x = -h, -2h; on the right,
+    `_right_ghost` at y = h, 2h.
     """
     N, h = grid.N, grid.h
     ext_w = {}
@@ -88,11 +106,12 @@ def dense_operator_oracle(params, grid):
         ext_w[j], ext_f[j] = row, 0.0
     ext_w[0] = ext_w[N + 1] = np.zeros(N)
     ext_f[0] = ext_f[N + 1] = 0.0
-    for idx, coeffs in ((-1, _GL1), (-2, _GL2)):
+    for idx in (-1, -2):
         row = np.zeros(N)
-        row[0:5] = coeffs
+        row[0:5] = _ghost_fit(range(2, 7), range(1, 6), float(idx))
         ext_w[idx], ext_f[idx] = row, 0.0
-    for idx, (w, fc) in ((N + 2, (_GR1_W, _GR1_F)), (N + 3, (_GR2_W, _GR2_F))):
+    for idx, xi in ((N + 2, 1.0), (N + 3, 2.0)):
+        w, fc = _right_ghost(xi)
         row = np.zeros(N)
         row[N - 1:N - 5:-1] = w     # weights on u_N, u_{N-1}, u_{N-2}, u_{N-3}
         ext_w[idx], ext_f[idx] = row, fc * h * h
@@ -134,10 +153,17 @@ def det_P_closed_form(gains: FeedbackGains, kernel: MemoryKernel) -> float:
 # `memory.feedback_block` and `memory.trace_series`
 
 
+def history_window(buf: HistoryBuffer):
+    """(times, w) of the last `maxlen` samples of `buf`, or of all of them
+    while there are fewer: the times t_now - lags, w a view."""
+    m = min(len(buf), buf.maxlen)
+    return buf.t_now - buf._lags[buf.maxlen - m:], buf.trace[-m:]
+
+
 def copy_history(buf: HistoryBuffer, steps: int) -> HistoryBuffer:
     """A snapshot of `buf` that later pushes leave unchanged, with room for
     `steps` pushes of its own."""
-    copy = HistoryBuffer(buf.dt, buf.tau2, buf.window()[1], steps)
+    copy = HistoryBuffer(buf.dt, buf.tau2, history_window(buf)[1], steps)
     copy.t_now = buf.t_now
     return copy
 
@@ -149,7 +175,7 @@ def w_at(buf: HistoryBuffer, t):
     eps = 1e-9 * buf.dt
     if np.any(t < t0 - eps) or np.any(t > buf.t_now + eps):
         raise ValueError("requested time outside the stored history span")
-    out = np.interp(t, *buf.window())
+    out = np.interp(t, *history_window(buf))
     return out if out.ndim else float(out)
 
 
@@ -224,7 +250,7 @@ def weighted_trace(buf: HistoryBuffer, weights: TraceWeights) -> TraceValues:
     per-time form of `memory.trace_series`."""
     if buf.dt != weights.dt:
         raise ValueError("history buffer and weights have different dt")
-    w = buf.window()[1]
+    w = history_window(buf)[1]
     n, K = len(w), weights.K
     if n <= K:
         raise ValueError("insufficient history span")

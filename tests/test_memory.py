@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (copy_history, memory_integral, trace_sq_integral, w_at,
-                      weighted_trace, z_energy)
+from conftest import (copy_history, history_window, memory_integral,
+                      trace_sq_integral, w_at, weighted_trace, z_energy)
 from kawalab.memory import (HistoryBuffer, TraceWeights, feedback_block,
                             trace_series)
 from kawalab.model import MemoryKernel
@@ -48,7 +48,7 @@ def test_eviction_bounds_length():
     cap = math.ceil(tau2 / dt) + 3
     for k in range(500):
         buf.push(float(k))
-        assert len(buf.window()[1]) <= cap
+        assert len(history_window(buf)[1]) <= cap
         assert buf.span >= tau2
 
 
@@ -316,15 +316,15 @@ def test_trace_series_matches_weighted_trace(form, tau1, tau2):
 
 def test_trace_keeps_every_sample():
     """`trace` is the initial samples followed by every pushed value;
-    `window()` gives its last maxlen samples, or the whole trace while it is
-    shorter."""
+    `history_window` gives its last maxlen samples, or the whole trace while
+    it is shorter."""
     init = np.linspace(-1.0, 0.0, 12)
     buf = HistoryBuffer(0.1, 1.0, init, 40)
     assert buf.maxlen == 13
     pushed = []
     for k in range(40):
         assert (buf.trace == np.concatenate((init, pushed))).all(), k
-        assert (buf.window()[1] == buf.trace[-buf.maxlen:]).all(), k
+        assert (history_window(buf)[1] == buf.trace[-buf.maxlen:]).all(), k
         buf.push(float(k))
         pushed.append(float(k))
 
