@@ -525,6 +525,12 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
 def cmd_verify(doc: dict, out: str) -> int:
     config = build_sim_config(doc)
     params, gains, kernel = config.params, config.gains, config.kernel
+    # the observability samples run over this window, whatever T_end is
+    window = max(5.0, kernel.tau2)
+    if window / config.dt > MAX_SAMPLES:
+        raise ConfigError(
+            f"field 'numerics.dt' must be at least the verify window "
+            f"max(5, kernel.tau2) = {window} / {MAX_SAMPLES}, got {config.dt!r}")
     checks = []
     # check i took stamps[i + 1] - stamps[i]; printed only, so that
     # report.json stays deterministic
@@ -562,7 +568,7 @@ def cmd_verify(doc: dict, out: str) -> int:
     add("energy_monotone", *_energy_monotone(result.records),
         note="linear run; E must be nonincreasing")
 
-    obs_cfg = replace(config, T_end=max(5.0, kernel.tau2))
+    obs_cfg = replace(config, T_end=window)
     c_obs, ratios = diagnostics.estimate_observability(
         obs_cfg, n_samples=20, seed=_read(doc, ("seed",))["seed"])
     add("observability_c_obs", 0.0, c_obs, c_obs > 0.0,

@@ -15,9 +15,11 @@ oracle.  The solver uses batched forms of them: `feedback_block` (the
 memory feedback of a block of steps at once, up to about tau1/dt of them,
 whose lag nodes all lie in the stored past; each value bit-identical to
 `memory_integral`, because the trajectory amplifies a single rounding
-change) and `trace_series` (the observation functionals behind the energy,
-the Lyapunov functional and the boundary flux, as fixed weights run along
-the buffer's whole trace after a run, which gives them at every step).
+change; its arrays have one row per step, and only the lag nodes of each
+clock offset are kept between blocks) and `trace_series` (the observation
+functionals behind the energy, the Lyapunov functional and the boundary
+flux, as fixed weights run along the buffer's whole trace after a run,
+which gives them at every step).
 """
 
 from __future__ import annotations
@@ -104,59 +106,28 @@ def _lag_grid(dt: float, lo: float, hi: float, off: float):
     return np.concatenate(([lo], nodes[keep], [hi])), ks[keep]
 
 
-# the most lag nodes in a block, so that its work arrays stay small (~0.5 MB):
+# the most lag nodes in a block, so that its arrays stay small (~0.5 MB):
 # blocks with ~2 MB of them ran slower per step than one step at a time
 _BLOCK_NODES = 8192
 
 
-class _Block:
-    """The arrays of a block of steps.  `nodes` holds each step's lag nodes
-    as rows (s, lam(s), the spacing to the next node), over the segment of
-    t, the first `ns` nodes, then that of t + dt; the spacing that spans
-    the two segments, and the last one, are unused.  The work arrays of
-    `feedback_block` and the views it reads and writes have one row per
-    step, or none for a block of one step given `nodes` of shape (3, N):
-    numpy calls on 1-D arrays and scalars cost half as much."""
-
-    def __init__(self, nodes: np.ndarray, ns: int, maxlen: int):
-        self.nodes, self.ns = nodes, ns
-        rows, N = nodes.shape[:-2], nodes.shape[-1]
-        self.s0, self.s1 = nodes[..., 0, :ns], nodes[..., 0, ns:]
-        self.d = nodes[..., 2, :-1]
-        if rows:
-            clock = np.empty((rows[0] + 1, 1))
-            self.t0, self.t1 = clock[:-1], clock[1:]
-        else:
-            clock = np.empty(2)
-            self.t0, self.t1 = clock[0, ...], clock[1, ...]
-        self.clock = clock.reshape(-1)
-        x, y = np.empty(rows + (N,)), np.empty(rows + (N,))
-        self.x0, self.x1 = x[..., :ns], x[..., ns:]
-        self.y_hi, self.y_lo = y[..., 1:], y[..., :-1]
-        self.times = np.empty(rows + (maxlen,))
-        self.terms = np.empty(rows + (N - 1,))
-        self.terms0, self.terms1 = self.terms[..., :ns - 1], self.terms[..., ns:]
-        sums = np.empty((2,) + rows)
-        self.sums0, self.sums1 = sums[0, ...], sums[1, ...]
-        self.sums = sums.reshape(2, -1)
-        # each step's x, window times, lam and y
-        self.steps = (list(zip(x, self.times, nodes[:, 1], y)) if rows
-                      else [(x, self.times, nodes[1], y)])
-
-
-def _step_block(kernel: MemoryKernel, dt: float, off: float,
-                maxlen: int) -> _Block:
-    """The block of one step whose clock advances by off = (t + dt) - t."""
+def _lag_table(kernel: MemoryKernel, dt: float, off: float) -> tuple:
+    """The lag nodes of a step whose clock advances by off = (t + dt) - t,
+    and the length of their first segment.  The nodes are a read-only table
+    of shape (1, 3, N), one row per step as in a block: rows s, lam(s) and
+    the spacing to the next node, over the segment of t, then that of
+    t + dt; the spacing that spans the two segments, and the last one, are
+    unused."""
     segs = [_lag_grid(dt, kernel.tau1, kernel.tau2, o)[0] for o in (0.0, off)]
     s = np.concatenate(segs)
-    nodes = np.stack((s, np.concatenate([np.asarray(kernel(x)) for x in segs]),
-                      np.diff(s, append=s[-1])))
-    nodes.flags.writeable = False
-    return _Block(nodes, len(segs[0]), maxlen)
+    table = np.stack((s, np.concatenate([np.asarray(kernel(x)) for x in segs]),
+                      np.diff(s, append=s[-1])))[np.newaxis]
+    table.flags.writeable = False
+    return table, len(segs[0])
 
 
 def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
-                   be_steps: int = 0, arrays: dict | None = None) -> list:
+                   be_steps: int = 0, tables: dict | None = None) -> list:
     """The memory feedback of the next steps of a run, one float per step:
     memory_integral at t + dt for the first `be_steps` (backward Euler) and
     the mean of its values at t and t + dt for the rest (Crank-Nicolson),
@@ -169,26 +140,25 @@ def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
     and at most `_BLOCK_NODES` nodes in all.  Each step's clock is advanced
     by the same repeated `+ dt` as `push`, and each step interpolates in its
     own window, cut off at the stored samples; the nodes, the kernel
-    weights and the trapezoid sums are 2-D array work over the block.
+    weights and the trapezoid sums are 2-D array work, one row per step.
 
-    `arrays`, one dict per run, keeps the arrays of the blocks between
-    calls: the one-step block of each offset t + dt - t (a run visits a
-    handful, all from rounding) and the work arrays of the last longer
-    block of each node count.
+    `tables`, one dict per run, keeps the lag nodes of each clock offset
+    (t + dt) - t between calls (`_lag_table`); a run visits a handful of
+    offsets, all from rounding.
     """
     dt, tau1, tau2 = buf.dt, kernel.tau1, kernel.tau2
     n0, maxlen = len(buf), buf.maxlen
     eps = 1e-9 * dt
-    arrays = {} if arrays is None else arrays
+    tables = {} if tables is None else tables
     t = buf.t_now
-    clock, blocks = [t], []
+    clock, block = [t], []
     for j in range(max(1, min(steps, math.ceil(tau1 / dt - 1e-6) - 1))):
         te = t + dt     # the clock, advanced as `push` advances it
         # the top node te - tau1 must lie at or before the newest stored
         # sample, whose time in this step's window is t - j dt, and the
         # block holds at most _BLOCK_NODES nodes
         if j and (te - tau1 > t - dt * j
-                  or (j + 1) * blocks[0].nodes.shape[1] > _BLOCK_NODES):
+                  or (j + 1) * block[0].shape[-1] > _BLOCK_NODES):
             break
         m = min(n0 + j, maxlen)
         # the span checks of the oracle, at the times the step evaluates
@@ -197,42 +167,37 @@ def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
         if te - tau1 > t + eps:
             raise ValueError("requested time outside the stored history span")
         off = te - t
-        b = arrays.get(off)
-        if b is None:
-            b = arrays[off] = _step_block(kernel, dt, off, maxlen)
-        if blocks and b.nodes.shape != blocks[0].nodes.shape:
+        entry = tables.get(off)
+        if entry is None:
+            entry = tables[off] = _lag_table(kernel, dt, off)
+        table, ns = entry
+        if block and table.shape != block[0].shape:
             break   # lag nodes of another length start the next block
-        blocks.append(b)
+        block.append(table)
         clock.append(te)
         t = te
-    n = len(blocks)
-    blk = blocks[0]
-    if n > 1:
-        # keyed by the shape (3, N) of a step's nodes, never a float offset
-        shape = (n,) + blk.nodes.shape
-        work = arrays.get(shape[1:])
-        if work is None or work.nodes.shape != shape:
-            work = arrays[shape[1:]] = _Block(np.empty(shape), blk.ns, maxlen)
-        blk = work
-        np.stack([b.nodes for b in blocks], out=blk.nodes)
 
-    blk.clock[:] = clock
-    np.subtract(blk.t0, blk.s0, out=blk.x0)
-    np.subtract(blk.t1, blk.s1, out=blk.x1)
-    np.subtract(blk.t0, buf._lags, out=blk.times)   # the samples' times
+    nodes = np.concatenate(block)
+    s, lam, d = nodes[:, 0], nodes[:, 1], nodes[:, 2, :-1]
+    clock = np.array(clock)[:, np.newaxis]
+    t0, t1 = clock[:-1], clock[1:]
+    # the evaluation times x = t - s over the segment of t, t + dt - s
+    # over that of t + dt
+    x = t1 - s
+    np.subtract(t0, s[:, :ns], out=x[:, :ns])
+    times = t0 - buf._lags      # the samples' times in each step's window
     data = buf._data
-    for j, (x, times, lam, y) in enumerate(blk.steps):
+    y = np.empty(s.shape)
+    for j in range(len(block)):
         a = min(n0 + j, maxlen)
-        w = _interp(x, times[maxlen - a:maxlen - j], data[n0 + j - a:n0])
-        np.multiply(lam, w, out=y)
+        y[j] = _interp(x[j], times[j, maxlen - a:maxlen - j], data[n0 + j - a:n0])
+    np.multiply(lam, y, out=y)      # lam(s) w(x)
     # np.trapezoid's arithmetic, d * (y[1:] + y[:-1]) / 2.0, summed per segment
-    terms = blk.terms
-    np.add(blk.y_hi, blk.y_lo, out=terms)
-    np.multiply(blk.d, terms, out=terms)
+    terms = np.add(y[:, 1:], y[:, :-1])
+    np.multiply(d, terms, out=terms)
     np.divide(terms, 2.0, out=terms)
-    np.add.reduce(blk.terms0, axis=-1, out=blk.sums0)
-    np.add.reduce(blk.terms1, axis=-1, out=blk.sums1)
-    m0, m1 = blk.sums.tolist()
+    m0 = np.add.reduce(terms[:, :ns - 1], axis=-1).tolist()
+    m1 = np.add.reduce(terms[:, ns:], axis=-1).tolist()
     mem = [0.5 * (a + b) for a, b in zip(m0, m1)]
     be = max(be_steps, 0)
     mem[:be] = m1[:be]      # the backward-Euler steps

@@ -297,7 +297,7 @@ class Stepper:
         self.be = _ImplicitSystem(self.op, dt, alpha, 1.0)
         self.n_startup = config.startup_steps
         self.trace_weights = TraceWeights(config.kernel, dt, config.gains.delta)
-        self._block_arrays = {}     # the arrays of `feedback_block`
+        self._lag_tables = {}     # the lag nodes of `feedback_block`
         if config.mms_amplitude is not None:
             self.mms_exact, self.mms_forcing = _build_mms(
                 config.params, config.mms_amplitude)
@@ -385,7 +385,7 @@ class Stepper:
             self._block = feedback_block(buf, self.config.kernel,
                                          self.config.n_steps - self.k,
                                          self.n_startup - self.k,
-                                         self._block_arrays)
+                                         self._lag_tables)
             self._block_k, self._block_n, i = self.k, len(buf), 0
         mem = self._block[i]
         np.multiply(self._neg_g_F, self._beta * mem, out=expl)

@@ -213,6 +213,23 @@ def test_exit_1_beyond_resource_limits(tmp_path, capsys, section, patch, field):
     assert field in capsys.readouterr().err
 
 
+def test_exit_1_verify_window_beyond_step_limit(tmp_path, capsys):
+    """`kaw verify` runs its observability samples over max(5, tau2),
+    whatever T_end is, so a config that `kaw run` takes can ask it for more
+    than MAX_SAMPLES steps there (5e12 here, a 36 TiB history).  It is a
+    config error before any run or output."""
+    doc = doc_with(numerics={"N": 12, "dt": 1e-12, "T_end": 1e-11},
+                   kernel={"tau1": 5e-12, "tau2": 1e-11})
+    path = write_doc(tmp_path, doc)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerics.dt" in err and "verify window" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("patch, fields", [
     ({"numerics": {"foo": 1}}, ["numerics.foo"]),
     ({"numerics": {"startup": 3}}, ["numerics.startup", "numerics.startup_steps"]),

@@ -17,6 +17,7 @@ from scipy.linalg.lapack import dgbtrf
 from conftest import (copy_history, dense_d1, dense_operator_oracle,
                       history_window, memory_integral, reference_sim_config,
                       weighted_trace, z_energy)
+from kawalab.cli import build_sim_config, load_config
 from kawalab.discretization import BANDWIDTH
 from kawalab.memory import HistoryBuffer
 from kawalab.model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
@@ -359,6 +360,22 @@ def test_unexpected_push_rebuilds_the_feedback_block():
             st.step()
             u, prev_nl = ref.step(u, buf, k, prev_nl)
             assert (st.u == u).all(), (shift, k)
+
+
+def test_lag_tables_are_keyed_by_clock_offset():
+    """The Stepper keeps the lag nodes of each clock offset (t + dt) - t, of
+    which a run visits a handful, all from rounding: 10 on the 3000 steps of
+    configs/reference.json.  A cache keyed by step or by clock time would
+    hold one entry per block, 76 here."""
+    path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                        "reference.json")
+    cfg = build_sim_config(load_config(path))
+    st = Stepper(cfg)
+    st.initial_state()
+    for _ in range(cfg.n_steps):
+        st.step()
+    assert st.k == 3000
+    assert 1 <= len(st._lag_tables) <= 16, sorted(st._lag_tables)
 
 
 @pytest.mark.parametrize("N", [128, 2048])
