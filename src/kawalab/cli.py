@@ -92,9 +92,12 @@ FIELDS = (
     Field("kernel.params.sigma", NUMBER, 1.0, "kernel.form=exponential",
           ("at least -700 / kernel.tau2",
            lambda v, f: v * f["kernel.tau2"] >= -700)),
+    # np.interp would hold an end value over the part of [tau1, tau2] left out
     Field("kernel.params.samples", PAIRS, REQUIRED, "kernel.form=tabulated",
-          ("two or more pairs [s, value], s increasing and value positive",
+          ("two or more pairs [s, value], s increasing, from at most "
+           "kernel.tau1 to at least kernel.tau2, and value positive",
            lambda x, f: len(x) > 1 and min(v for _, v in x) > 0
+           and x[0][0] <= f["kernel.tau1"] and x[-1][0] >= f["kernel.tau2"]
            and all(a[0] < b[0] for a, b in zip(x, x[1:])))),
     # the ghost closure needs N >= 12 (discretization.Grid)
     Field("numerics.N", INTEGER, check=(f"in [12, {MAX_N}]",
@@ -451,16 +454,16 @@ def _sweep_axis_set(doc: dict, axis: str, value: float) -> dict:
     return out
 
 
-# the columns of sweep.csv, and the keys of a sweep row besides its index
+# the columns of sweep.csv, and the keys of a sweep row
 SWEEP_COLUMNS = ("value", "status", "certified", "failures", "rate", "r2",
                  "mms_error")
 
 
 def _sweep_worker(args) -> dict:
-    """The sweep row of one job (index, document with the axis set, value)."""
-    idx, sub, value = args
+    """The sweep row of one job (document with the axis set, value)."""
+    sub, value = args
     row = dict.fromkeys(SWEEP_COLUMNS, "")
-    row.update(index=idx, value=value, status="ok")
+    row.update(value=value, status="ok")
     try:
         params, gains, kernel = build_model(sub)
         try:
@@ -480,7 +483,7 @@ def _sweep_worker(args) -> dict:
             pass
         if result.mms_error is not None:
             row["mms_error"] = repr(result.mms_error)
-    except (ConfigError, ConditionError, SolverAbort, ValueError) as e:
+    except (SolverAbort, ValueError) as e:
         row["status"] = "aborted"
         row["failures"] = str(e)
     return row
@@ -488,7 +491,7 @@ def _sweep_worker(args) -> dict:
 
 def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
     jobs = []
-    for i, v in enumerate(values):  # validate the axis, values, fields read
+    for v in values:    # validate the axis, values, fields read
         if not math.isfinite(v):
             raise ConfigError(f"axis '{axis}': --values must be finite numbers,"
                               f" got {v!r}")
@@ -497,9 +500,10 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
             build_sim_config(sub)
         except UnusedFieldError as e:
             raise UnusedFieldError(f"sweep over axis '{axis}': {e}") from e
-        except (ConfigError, ConditionError, ValueError):
+        except ValueError:
             pass    # a bad value fails its own row
-        jobs.append((i, sub, v))
+        jobs.append((sub, v))
+    # pool.map and the serial list both give the rows in input order
     if workers > 1 and len(jobs) > 1:
         # local import: the pool machinery is loaded only when a pool runs
         from concurrent.futures import ProcessPoolExecutor
@@ -509,7 +513,6 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
             rows = list(pool.map(_sweep_worker, jobs))
     else:
         rows = [_sweep_worker(j) for j in jobs]
-    rows.sort(key=lambda r: r["index"])  # deterministic: input order
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)

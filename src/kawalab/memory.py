@@ -12,14 +12,14 @@ The general forms of these functionals, `memory_integral`,
 `trace_sq_integral` and `z_energy`, interpolate the history at freshly built
 lag nodes on every call; they live in `tests/conftest.py` as the test
 oracle.  The solver uses batched forms of them: `feedback_block` (the
-memory feedback of a block of steps at once, up to about tau1/dt of them,
-whose lag nodes all lie in the stored past; each value bit-identical to
-`memory_integral`, because the trajectory amplifies a single rounding
-change; its arrays have one row per step, and only the lag nodes of each
-clock offset are kept between blocks) and `trace_series` (the observation
-functionals behind the energy, the Lyapunov functional and the boundary
-flux, as fixed weights run along the buffer's whole trace after a run,
-which gives them at every step).
+memory integral at both ends of each step of a block of up to about
+tau1/dt steps, whose lag nodes all lie in the stored past; each value
+bit-identical to `memory_integral`, because the trajectory amplifies a
+single rounding change; its arrays have one row per step, and only the lag
+nodes of each clock offset are kept between blocks) and `trace_series` (the
+observation functionals behind the energy, the Lyapunov functional and the
+boundary flux, as fixed weights run along the buffer's whole trace after a
+run, which gives them at every step).
 """
 
 from __future__ import annotations
@@ -127,14 +127,14 @@ def _lag_table(kernel: MemoryKernel, dt: float, off: float) -> tuple:
 
 
 def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
-                   be_steps: int = 0, tables: dict | None = None) -> list:
-    """The memory feedback of the next steps of a run, one float per step:
-    memory_integral at t + dt for the first `be_steps` (backward Euler) and
-    the mean of its values at t and t + dt for the rest (Crank-Nicolson),
-    where t is the step's clock.  Each value is bit for bit what
-    `memory_integral` gives on the buffer of that step.
+                   tables: dict) -> tuple:
+    """The memory integral of the next steps of a run at their two ends:
+    lists m0 and m1 of `memory_integral` at t and at t + dt, one float per
+    step, where t is the step's clock.  Each value is bit for bit what
+    `memory_integral` gives on the buffer of that step; how a step combines
+    the two is its integrator's choice.
 
-    Since tau1 >= dt the feedback reads only the past.  The block holds as
+    Since tau1 >= dt the integral reads only the past.  The block holds as
     many steps, up to `steps` and at least one, as have all their lag nodes
     at or before the newest sample stored now, with lag nodes of one length
     and at most `_BLOCK_NODES` nodes in all.  Each step's clock is advanced
@@ -149,10 +149,15 @@ def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
     dt, tau1, tau2 = buf.dt, kernel.tau1, kernel.tau2
     n0, maxlen = len(buf), buf.maxlen
     eps = 1e-9 * dt
-    tables = {} if tables is None else tables
     t = buf.t_now
+    # the span checks of the oracle, at the first step: later steps have
+    # the same lags and at least as many samples
+    if t - tau2 < t - buf.span - eps:
+        raise ValueError("insufficient history span for the memory integral")
+    if t + dt - tau1 > t + eps:
+        raise ValueError("requested time outside the stored history span")
     clock, block = [t], []
-    for j in range(max(1, min(steps, math.ceil(tau1 / dt - 1e-6) - 1))):
+    for j in range(max(1, steps)):
         te = t + dt     # the clock, advanced as `push` advances it
         # the top node te - tau1 must lie at or before the newest stored
         # sample, whose time in this step's window is t - j dt, and the
@@ -160,12 +165,6 @@ def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
         if j and (te - tau1 > t - dt * j
                   or (j + 1) * block[0].shape[-1] > _BLOCK_NODES):
             break
-        m = min(n0 + j, maxlen)
-        # the span checks of the oracle, at the times the step evaluates
-        if (te if j < be_steps else t) - tau2 < t - (m - 1) * dt - eps:
-            raise ValueError("insufficient history span for the memory integral")
-        if te - tau1 > t + eps:
-            raise ValueError("requested time outside the stored history span")
         off = te - t
         entry = tables.get(off)
         if entry is None:
@@ -198,10 +197,7 @@ def feedback_block(buf: HistoryBuffer, kernel: MemoryKernel, steps: int,
     np.divide(terms, 2.0, out=terms)
     m0 = np.add.reduce(terms[:, :ns - 1], axis=-1).tolist()
     m1 = np.add.reduce(terms[:, ns:], axis=-1).tolist()
-    mem = [0.5 * (a + b) for a, b in zip(m0, m1)]
-    be = max(be_steps, 0)
-    mem[:be] = m1[:be]      # the backward-Euler steps
-    return mem
+    return m0, m1
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ operation keeps the arithmetic of the plain formulation bit for bit: the
 narrow row blocks, `_rhs_layout`, for N up to `MAX_N`; `SimConfig` and
 `Stepper` accept a larger N, where the blocks hold the exact entries but the
 product may differ from the dense one in its last bits), the memory feedback
-of the oracle `memory_integral` in `tests/conftest.py` (evaluated for a
-block of steps at once by `memory.feedback_block`), the D1 products and the
-band solve.  A single rounding change early in a run moves the final energy
-by up to ~1e-5 relative.
+of the oracle `memory_integral` in `tests/conftest.py` (`memory.feedback_block`
+gives its values at both ends of each step of a block of steps at once, and
+`Stepper.step` alone takes the end value or the midpoint mean), the D1
+products and the band solve.  A single rounding change early in a run moves
+the final energy by up to ~1e-5 relative.
 
 Two rules keep those bits while the step stays lean.  Constants set up
 once are the scalar prefixes that Python forms left to right in the plain
@@ -154,8 +155,10 @@ def _pow_p(u: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     return np.power(np.abs(u, out=out), p, out=out)
 
 
-def _build_mms(params: PhysicalParams, amplitude: float):
-    """Manufactured solution A e^{-t} x^2 (L-x)^2 sin(pi x / L) and its residual.
+def _build_mms(params: PhysicalParams, amplitude: float, linear_only: bool):
+    """Manufactured solution A e^{-t} x^2 (L-x)^2 sin(pi x / L) and its
+    residual in the equation the run solves: without u^p u_x if
+    `linear_only`.
 
     Satisfies u = u_x = 0 at both ends and u_xx = 0 at both ends, so the
     feedback loop is consistent with F* = 0.  The solution is nonnegative on
@@ -186,7 +189,8 @@ def _build_mms(params: PhysicalParams, amplitude: float):
         v, v1, v3, v5 = derivs(x, (0, 1, 3, 5))
         c = amplitude * math.exp(-t)
         u, ux = c * v, c * v1
-        return -u + params.a * ux + params.b * c * v3 - c * v5 + u ** params.p * ux
+        f = -u + params.a * ux + params.b * c * v3 - c * v5
+        return f if linear_only else f + u ** params.p * ux
 
     return exact, forcing
 
@@ -266,8 +270,8 @@ class Stepper:
     the `history` buffer.  `initial_state` sets it and `step`, the single
     time advance, advances it in place.  Also holds the factorized pieces,
     the constants and the work arrays of a step, which make a Stepper
-    single-threaded, and the memory feedback of the current block of steps,
-    valid only at the step index and sample count it was built from."""
+    single-threaded, and the memory integrals of the current block of
+    steps, indexed by the number of samples pushed since it was built."""
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -275,23 +279,21 @@ class Stepper:
         self.op = build_operator(config.params, self.grid)
         N, dt = config.N, config.dt
         alpha = config.gains.alpha
-        # I - dt/2 A as row blocks (r0, r1, c0, c1, B) on the windows of
-        # `_rhs_layout`, each B with the entries of the dense construction:
-        # 0.0 - A dt/2 keeps the +0 of the zero entries, then +1 on the diagonal
-        self.rhs_blocks = []
+        # I - dt/2 A as row blocks B on the windows of `_rhs_layout`, each
+        # with the entries of the dense construction: 0.0 - A dt/2 keeps the
+        # +0 of the zero entries, then +1 on the diagonal.  `_cn_rhs` copies
+        # u into _u and fills _rhs one product (B, window of _u, rows of
+        # _rhs) at a time; the BE step writes its right-hand side into _rhs too
+        self._u = np.empty(N)
+        self._rhs = np.empty(N)
+        self._rhs_products = []
         for r0, r1, c0, c1 in _rhs_layout(N):
             B = self.op.block(r0, r1, c0, c1)
             B *= 0.5 * dt
             np.subtract(0.0, B, out=B)
             rows = np.arange(r0, r1)
             B[rows - r0, rows - c0] += 1.0
-            self.rhs_blocks.append((r0, r1, c0, c1, B))
-        # `_cn_rhs` copies u into _u and fills _rhs one block product at a
-        # time; the BE step writes its right-hand side into _rhs too
-        self._u = np.empty(N)
-        self._rhs = np.empty(N)
-        self._rhs_products = [(B, self._u[c0:c1], self._rhs[r0:r1])
-                              for r0, r1, c0, c1, B in self.rhs_blocks]
+            self._rhs_products.append((B, self._u[c0:c1], self._rhs[r0:r1]))
         self.cn = _ImplicitSystem(self.op, dt, alpha, 0.5)
         # backward-Euler startup system (Rannacher smoothing of rough data)
         self.be = _ImplicitSystem(self.op, dt, alpha, 1.0)
@@ -300,7 +302,7 @@ class Stepper:
         self._lag_tables = {}     # the lag nodes of `feedback_block`
         if config.mms_amplitude is not None:
             self.mms_exact, self.mms_forcing = _build_mms(
-                config.params, config.mms_amplitude)
+                config.params, config.mms_amplitude, config.linear_only)
         else:
             self.mms_exact = self.mms_forcing = None
 
@@ -378,16 +380,16 @@ class Stepper:
         be = self.k < self.n_startup
 
         # explicit memory feedback, fully known from history since tau1 >= dt:
-        # midpoint value for CN, end-of-step value for the BE startup steps,
-        # from the block built at step _block_k on _block_n stored samples
-        i = self.k - self._block_k
-        if not 0 <= i < len(self._block) or len(buf) != self._block_n + i:
-            self._block = feedback_block(buf, self.config.kernel,
-                                         self.config.n_steps - self.k,
-                                         self.n_startup - self.k,
-                                         self._lag_tables)
-            self._block_k, self._block_n, i = self.k, len(buf), 0
-        mem = self._block[i]
+        # end value for the BE startup steps, mean of the values at t and
+        # t + dt for CN; row i of the block built on _block_n stored samples
+        i = len(buf) - self._block_n
+        m0, m1 = self._block
+        if not 0 <= i < len(m1):
+            m0, m1 = self._block = feedback_block(
+                buf, self.config.kernel, self.config.n_steps - self.k,
+                self._lag_tables)
+            self._block_n, i = len(buf), 0
+        mem = m1[i] if be else 0.5 * (m0[i] + m1[i])
         np.multiply(self._neg_g_F, self._beta * mem, out=expl)
 
         nl = None
@@ -433,7 +435,7 @@ class Stepper:
                                                   cfg.kernel.tau2, cfg.n_steps)
         self.w0 = self.op.trace_uxx0(self.u)
         self.prev_nl, self.k = None, 0
-        self._block, self._block_k, self._block_n = [], 0, 0
+        self._block, self._block_n = ([], []), 0
 
 
 @dataclass
@@ -492,32 +494,28 @@ def run(config: SimConfig) -> RunResult:
     rec_steps, rec_scalars = [], []     # each record's step and state_scalars
 
     with np.errstate(over="ignore", invalid="ignore"):
-        t[0] = buf.t_now
-        l2[0] = h * np.add.reduce(np.square(st.u, out=sq))
-        if config.record_every > 0:
-            rec_steps.append(0)
-            rec_scalars.append(diagnostics.state_scalars(st.u, st.w0, st.op))
-        for k in range(1, n_steps + 1):
-            try:
-                st.step()
-            except SolverAbort as e:
-                finite = np.flatnonzero(np.isfinite(l2[:k]))
-                if finite.size:
-                    j = finite[-1]
-                    e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
-                    # the failed step pushed nothing: the trace ends at t_{k-1}
-                    tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
-                    E = e.last_finite_l2 + abs(config.gains.beta) * float(
-                        tv.z_plain[j])
-                    e.last_finite_E = E if math.isfinite(E) else None
-                raise
-            t[k] = buf.t_now
-            l2[k] = h * np.add.reduce(np.square(st.u, out=sq))
-            if config.record_every > 0 and (
-                    k % config.record_every == 0 or k == n_steps):
-                rec_steps.append(k)
-                rec_scalars.append(diagnostics.state_scalars(
-                    st.u, st.w0, st.op))
+        try:
+            for k in range(n_steps + 1):
+                if k:
+                    st.step()
+                t[k] = buf.t_now
+                l2[k] = h * np.add.reduce(np.square(st.u, out=sq))
+                if config.record_every > 0 and (
+                        k % config.record_every == 0 or k == n_steps):
+                    rec_steps.append(k)
+                    rec_scalars.append(diagnostics.state_scalars(
+                        st.u, st.w0, st.op))
+        except SolverAbort as e:
+            finite = np.flatnonzero(np.isfinite(l2[:k]))
+            if finite.size:
+                j = finite[-1]
+                e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
+                # the failed step pushed nothing: the trace ends at t_{k-1}
+                tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
+                E = e.last_finite_l2 + abs(config.gains.beta) * float(
+                    tv.z_plain[j])
+                e.last_finite_E = E if math.isfinite(E) else None
+            raise
 
     tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
     series = TimeSeries(t=t, w=buf.trace[i0:], l2=l2, **tv._asdict())

@@ -183,11 +183,15 @@ def test_exit_1_bad_sine_profile(tmp_path, capsys, u0):
                          "values": [1, 5, 9]}}}, "initial.z0.times"),
     ({"initial": {"z0": {"type": "tabulated", "times": [-2, -1],
                          "values": [1, 5]}}}, "initial.z0.times"),
+    # a kernel table that leaves out part of [kernel.tau1, kernel.tau2]
+    ({"kernel": {"form": "tabulated",
+                 "params": {"samples": [[1.2, 1.0], [1.5, 0.5]]}}},
+     "kernel.params.samples"),
 ])
 def test_exit_1_malformed_field_named(tmp_path, capsys, patch, field):
     """Each of these ended in a traceback, a silent zero-step run, or (a
-    tabulated z0 short of its domain) a run whose history np.interp held at
-    an end value."""
+    tabulated z0 or kernel short of its domain) a run whose history or
+    kernel np.interp held at an end value."""
     doc = doc_with(**{k: v for k, v in patch.items() if isinstance(v, dict)})
     doc.update({k: v for k, v in patch.items() if not isinstance(v, dict)})
     rc = main(["run", "--config", write_doc(tmp_path, doc),
@@ -665,11 +669,12 @@ def test_sweep_csv_quotes_failure_messages(tmp_path, reference_config_path,
     message = 'bad value, "quoted"\nsecond line'
 
     def fake_worker(args):
-        idx, sub, value = args
+        sub, value = args
         assert sub["gains"]["alpha"] == value
-        return {"index": idx, "value": value, "status": "ok" if idx else "aborted",
-                "certified": "true", "failures": "" if idx else message,
-                "rate": "0.25" if idx else "", "r2": "0.5" if idx else "",
+        ok = value == 0.2
+        return {"value": value, "status": "ok" if ok else "aborted",
+                "certified": "true", "failures": "" if ok else message,
+                "rate": "0.25" if ok else "", "r2": "0.5" if ok else "",
                 "mms_error": ""}
 
     monkeypatch.setattr(cli, "_sweep_worker", fake_worker)
@@ -708,8 +713,8 @@ def inline_pool(monkeypatch):
             return map(fn, jobs)
 
     def fake_worker(args):
-        idx, _, value = args
-        return {"index": idx, "value": value, "status": "ok", "certified": "",
+        _, value = args
+        return {"value": value, "status": "ok", "certified": "",
                 "failures": "", "rate": "", "r2": "", "mms_error": ""}
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool,

@@ -229,37 +229,36 @@ def test_trace_series_matches_interpolating_functionals(seed, dt, tau1, width,
         assert abs(getattr(got, name)[-1] - f(buf)) <= 1e-11 * f(top), name
 
 
-def feedback_blocks(kernel, dt, steps, be_steps=0, seed=5):
+def feedback_blocks(kernel, dt, steps, seed=5):
     """Step a buffer of random samples for `steps` steps as `Stepper.step`
-    does, with a new block, on one dict of arrays, each time the last one
-    is used up.  Check each step's value against memory_integral on the
-    buffer of that step, bit for bit: at t + dt for the first `be_steps`
-    steps, the mean of the values at t and t + dt after them.  Returns the
+    does, with a new block, on one dict of node tables, each time the last
+    one is used up.  Check each step's values at t and at t + dt against
+    memory_integral on the buffer of that step, bit for bit.  Returns the
     block lengths."""
     rng = np.random.default_rng(seed)
     buf = HistoryBuffer.from_initial(lambda t: math.sin(3.0 * t + 0.2), dt,
                                      kernel.tau2, steps)
-    lengths, k, arrays = [], 0, {}
+    lengths, k, tables = [], 0, {}
     while k < steps:
-        block = feedback_block(buf, kernel, steps - k, be_steps - k, arrays)
-        lengths.append(len(block))
-        for mem in block:
+        m0, m1 = feedback_block(buf, kernel, steps - k, tables)
+        assert len(m0) == len(m1)
+        lengths.append(len(m1))
+        for start, end in zip(m0, m1):
             t = buf.t_now
-            end = memory_integral(buf, kernel, t + dt)
-            want = end if k < be_steps else \
-                0.5 * (memory_integral(buf, kernel, t) + end)
-            assert mem == want, (k, mem, want)
+            assert start == memory_integral(buf, kernel, t), k
+            assert end == memory_integral(buf, kernel, t + dt), k
             buf.push(rng.standard_normal())
             k += 1
     return lengths
 
 
 # (tau1, tau2, dt, steps) and the length of a full block: one step while
-# tau1 <= 2 dt, else the steps that fit below tau1, or as many as the cap of
-# 8192 nodes holds (40 steps of 202 nodes)
+# tau1 < 2 dt, two at tau1 = 2 dt (the second step's top node lands on the
+# newest stored sample), else the steps that fit below tau1, or as many as
+# the cap of 8192 nodes holds (40 steps of 202 nodes)
 BLOCK_CASES = {
     "one-step": ((0.015, 0.853, 0.01, 40), 1),
-    "tau1-2dt": ((0.02, 0.853, 0.01, 40), 1),
+    "tau1-2dt": ((0.02, 0.853, 0.01, 40), 2),
     "five": ((0.055, 0.087, 0.01, 60), 5),
     "offgrid-95": ((0.955, 1.2, 0.01, 240), 95),
     "aligned-333": ((1.0, 1.03, 0.003, 700), 333),
@@ -270,11 +269,10 @@ BLOCK_CASES = {
 @pytest.mark.parametrize("form", ["constant", "exponential", "tabulated"])
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_feedback_block_is_memory_integral_bitwise(case, form):
-    """Every step of every block equals memory_integral bit for bit: blocks
-    of one step to 333, grid-aligned and off-grid lags, with two
-    backward-Euler steps at the start of the first block."""
+    """Both values of every step of every block equal memory_integral bit
+    for bit: blocks of one step to 333, grid-aligned and off-grid lags."""
     (tau1, tau2, dt, steps), full = BLOCK_CASES[case]
-    lengths = feedback_blocks(_kernel(form, tau1, tau2), dt, steps, be_steps=2)
+    lengths = feedback_blocks(_kernel(form, tau1, tau2), dt, steps)
     assert lengths[0] == full, lengths
     assert sum(lengths) == steps
 
@@ -284,9 +282,9 @@ def test_feedback_block_span_errors():
     a kernel whose lags reach past the newest sample (tau1 < dt)."""
     buf = HistoryBuffer.from_initial(math.sin, 0.01, 1.0, 10)
     with pytest.raises(ValueError, match="insufficient history span"):
-        feedback_block(buf, _kernel("constant", 0.5, 1.5), 10)
+        feedback_block(buf, _kernel("constant", 0.5, 1.5), 10, {})
     with pytest.raises(ValueError, match="outside the stored history span"):
-        feedback_block(buf, _kernel("constant", 0.005, 0.5), 10)
+        feedback_block(buf, _kernel("constant", 0.005, 0.5), 10, {})
 
 
 @pytest.mark.parametrize("form", ["constant", "exponential", "tabulated"])

@@ -64,19 +64,24 @@ def test_nonlinear_conserves_under_skew_split():
 
 
 def test_mms_convergence_order():
+    """Second order in space and time, for the nonlinear and the linear
+    equation: a linear run's forcing leaves out u^p u_x, as its solver does."""
     params = PhysicalParams(1.0, 1.0, math.pi, 1.0)
     gains = FeedbackGains(0.5, 0.25, 0.01, 0.01)
     kernel = MemoryKernel(1.0, 2.0)
     L = params.L
-    errs = []
-    for N in (48, 96):
-        h = L / (N + 1)
-        cfg = SimConfig(params, gains, kernel, N=N, dt=0.5 * h, T_end=1.0,
-                        u0=lambda x: x ** 2 * (L - x) ** 2 * np.sin(np.pi * x / L),
-                        z0=lambda t: 0.0, record_every=0, mms_amplitude=1.0)
-        errs.append(run(cfg).mms_error)
-    order = math.log2(errs[0] / errs[1])
-    assert 1.8 <= order <= 2.2, (errs, order)
+    for linear_only in (False, True):
+        errs = []
+        for N in (48, 96):
+            h = L / (N + 1)
+            cfg = SimConfig(
+                params, gains, kernel, N=N, dt=0.5 * h, T_end=1.0,
+                u0=lambda x: x ** 2 * (L - x) ** 2 * np.sin(np.pi * x / L),
+                z0=lambda t: 0.0, record_every=0, mms_amplitude=1.0,
+                linear_only=linear_only)
+            errs.append(run(cfg).mms_error)
+        order = math.log2(errs[0] / errs[1])
+        assert 1.8 <= order <= 2.2, (linear_only, errs, order)
 
 
 def test_fractional_p_runs():
@@ -277,7 +282,8 @@ class ReferenceStepper:
             nl_mid = 1.5 * nl - 0.5 * prev_nl if not be and prev_nl is not None else nl
             expl = expl - nl_mid
         if cfg.mms_amplitude is not None:
-            _, forcing = _build_mms(cfg.params, cfg.mms_amplitude)
+            _, forcing = _build_mms(cfg.params, cfg.mms_amplitude,
+                                    cfg.linear_only)
             expl = expl + forcing(self.st.grid.x, t + dt if be else t + 0.5 * dt)
         if be:
             rhs = u + dt * expl
@@ -295,7 +301,8 @@ OFFGRID_KERNELS = {
     "exponential": MemoryKernel(0.955, 1.853, "exponential", c=1.0, sigma=0.7),
     "tabulated": MemoryKernel(0.955, 1.853, "tabulated",
                               samples=((0.9, 1.0), (1.3, 0.6), (1.9, 1.2))),
-    # tau1 = 2 dt at dt = 0.01: every block of the memory feedback is one step
+    # tau1 = 2 dt at dt = 0.01: blocks of the memory feedback of one or two
+    # steps, whose top lag node can land exactly on the newest stored sample
     "tau1-2dt": MemoryKernel(0.02, 0.853, "exponential", c=1.0, sigma=0.7),
 }
 
@@ -335,11 +342,11 @@ def test_fast_step_matches_plain_formulation_bitwise(form, case):
     assert st.history.t_now == buf.t_now
 
 
-def test_unexpected_push_rebuilds_the_feedback_block():
-    """A block of the memory feedback is used only at the sample count and
-    step index it was built from.  A push between steps that the block did
-    not expect, or a new initial state, makes the next step build a new one,
-    and every step stays that of the plain formulation."""
+def test_push_between_steps_keeps_every_step_exact():
+    """A block of the memory feedback is indexed by the samples pushed since
+    it was built, and its values depend only on those and the clock.  A
+    push between steps that the solver did not make, or a new initial
+    state, leaves every step that of the plain formulation."""
     cfg = SimConfig(PhysicalParams(1.0, 1.0, math.pi, 1.0),
                     FeedbackGains(0.45, 0.3, 0.01, 0.01),
                     OFFGRID_KERNELS["constant"], N=64, dt=0.01, T_end=3.0,
@@ -402,7 +409,7 @@ def test_set_up_matches_dense_oracle_bitwise(N):
     dt = cfg.dt
     rhs_mat = np.eye(N) - 0.5 * dt * A
     r_end = 0
-    for r0, r1, c0, c1, B in st.rhs_blocks:
+    for (r0, r1, c0, c1), (B, _, _) in zip(_rhs_layout(N), st._rhs_products):
         assert r0 == r_end and r1 - r0 >= 4
         r_end = r1
         sub = rhs_mat[r0:r1, c0:c1]
@@ -652,20 +659,24 @@ def test_records_match_live_state(form, linear_only):
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_mms_matches_symbolic_derivatives(p):
     """The closed-form exact solution and forcing equal sympy's, to 1e-12 of
-    each one's largest magnitude on the grid."""
+    each one's largest magnitude on the grid, with and without the
+    nonlinear term."""
     sp = pytest.importorskip("sympy")
     params = PhysicalParams(a=1.0, b=0.7, L=math.pi, p=p)
     amplitude = 0.8
     x, t = sp.symbols("x t")
     L = sp.Float(params.L, 30)
     u = amplitude * sp.exp(-t) * x ** 2 * (L - x) ** 2 * sp.sin(sp.pi * x / L)
-    f = (sp.diff(u, t) + params.a * sp.diff(u, x) + params.b * sp.diff(u, x, 3)
-         - sp.diff(u, x, 5) + u ** sp.Float(params.p) * sp.diff(u, x))
+    f_lin = (sp.diff(u, t) + params.a * sp.diff(u, x)
+             + params.b * sp.diff(u, x, 3) - sp.diff(u, x, 5))
+    f = f_lin + u ** sp.Float(params.p) * sp.diff(u, x)
     want_u = sp.lambdify((x, t), u, "numpy")
-    want_f = sp.lambdify((x, t), f, "numpy")
-    exact, forcing = _build_mms(params, amplitude)
     xs = np.linspace(0.0, params.L, 203)[1:-1]
-    for tv in (0.0, 0.37, 1.0):
-        for got, want in ((exact(xs, tv), want_u(xs, tv)),
-                          (forcing(xs, tv), want_f(xs, tv))):
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), tv
+    for linear_only, f_want in ((False, f), (True, f_lin)):
+        want_f = sp.lambdify((x, t), f_want, "numpy")
+        exact, forcing = _build_mms(params, amplitude, linear_only)
+        for tv in (0.0, 0.37, 1.0):
+            for got, want in ((exact(xs, tv), want_u(xs, tv)),
+                              (forcing(xs, tv), want_f(xs, tv))):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+                    (linear_only, tv)
