@@ -45,6 +45,11 @@ def state_scalars(u: np.ndarray, w0: float, op) -> tuple:
     return E1, w0, float(h2)
 
 
+def energy(l2, z_plain, gains):
+    """E = ||u||^2 + |beta| z_plain, elementwise."""
+    return l2 + abs(gains.beta) * z_plain
+
+
 def build_records(config, series, steps: Sequence[int],
                   scalars: Sequence[tuple]) -> np.recarray:
     """The energy records at the time steps `steps` of a run, one `RECORD`
@@ -60,10 +65,9 @@ def build_records(config, series, steps: Sequence[int],
     E1, w0, h2 = np.array(scalars, dtype=float).reshape(-1, 3).T
     l2, mem = series.l2[i], series.memory[i]
     P = model.assemble_P(gains, config.kernel)
-    absb = abs(gains.beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = l2 + absb * series.z_plain[i]
-        E2 = absb * series.z_exp[i]
+        E = energy(l2, series.z_plain[i], gains)
+        E2 = abs(gains.beta) * series.z_exp[i]
         xi = E + gains.mu1 * E1 + gains.mu2 * E2
         F = gains.alpha * w0 + gains.beta * mem
         # <PV,V>, V = (w0, mem), is an upper bound of dE/dt, not equal to

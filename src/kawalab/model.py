@@ -1,10 +1,10 @@
 """Parameters, memory kernels, and the closed-form stability certificates.
 
-Everything here is pure arithmetic on the model data: the gain condition,
-the critical domain length, the 2x2 dissipativity matrices and their
-negativity certificates, the smallness radius for the nonlinearity, and the
-guaranteed exponential decay rate.  2x2 negativity is decided from det/trace
-closed forms, never from a sampled eigensolver.
+Each closed form of the paper is one expression here: the gain condition,
+the length gap 3 pi^2 b - a L^2 (read by the length test, r_max and the
+decay rate), P, T(mu1, mu2) with its det/trace negativity test (never a
+sampled eigensolver), and the guaranteed decay rate.  `build_certificate`
+collects every failed condition and raises for none.
 """
 
 from __future__ import annotations
@@ -66,7 +66,10 @@ class MemoryKernel:
                 raise ValueError("kernel must be positive")
         elif self.c <= 0:
             raise ValueError("kernel must be positive")
-        object.__setattr__(self, "lambda_integral", self._integral())
+        integral = self._integral()
+        if integral == 0.0:
+            raise ConditionError("kernel integral vanishes")
+        object.__setattr__(self, "lambda_integral", integral)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -141,30 +144,29 @@ def check_gain_condition(gains: FeedbackGains, kernel: MemoryKernel):
 
 
 def critical_length(params: PhysicalParams) -> float:
+    """sqrt(3b/a) * pi, reported; the length test is `_length_gap` > 0."""
     return math.sqrt(3.0 * params.b / params.a) * math.pi
+
+
+_PI2 = math.pi * math.pi
+
+
+def _length_gap(params: PhysicalParams) -> float:
+    """3 pi^2 b - a L^2: the length condition holds when it is positive,
+    and r_max and the decay rate's second term are formed from it."""
+    try:
+        return 3.0 * _PI2 * params.b - params.a * params.L ** 2
+    except OverflowError:   # L ** 2 beyond the float range
+        return -math.inf
 
 
 def assemble_P(gains: FeedbackGains, kernel: MemoryKernel) -> np.ndarray:
     """Dissipativity matrix of the boundary quadratic form."""
     lam = kernel.lambda_integral
-    if lam == 0.0:
-        raise ConditionError("kernel integral vanishes")
     a, b = gains.alpha, gains.beta
     return np.array([
         [a * a - 1.0 + abs(b) * lam, a * b],
         [a * b, b * b - abs(b) / lam],
-    ])
-
-
-def assemble_P_star(gains: FeedbackGains, kernel: MemoryKernel) -> np.ndarray:
-    """Adjoint-side matrix; same determinant and trace as P."""
-    lam = kernel.lambda_integral
-    if lam == 0.0:
-        raise ConditionError("kernel integral vanishes")
-    a, b = gains.alpha, gains.beta
-    return np.array([
-        [a * a - 1.0 + abs(b) * lam, a * abs(b)],
-        [a * abs(b), b * b - abs(b) / lam],
     ])
 
 
@@ -192,15 +194,11 @@ def is_negative_definite(M: np.ndarray) -> bool:
 
 def r_max(params: PhysicalParams) -> float:
     """Smallness radius ((p+2)(3 pi^2 b - a L^2) / (2 pi^2 L^(2-p/2)))^(1/p)."""
-    pi2 = math.pi * math.pi
-    try:
-        gap = 3.0 * pi2 * params.b - params.a * params.L ** 2
-    except OverflowError:   # L ** 2 beyond the float range
-        gap = -math.inf
-    if gap <= 0.0:
-        raise ConditionError("length condition violated: L >= sqrt(3b/a)*pi")
+    gap = _length_gap(params)
+    if not gap > 0.0:
+        raise ConditionError("length condition violated: 3 pi^2 b - a L^2 <= 0")
     p = params.p
-    return ((p + 2.0) * gap / (2.0 * pi2 * params.L ** (2.0 - p / 2.0))) ** (1.0 / p)
+    return ((p + 2.0) * gap / (2.0 * _PI2 * params.L ** (2.0 - p / 2.0))) ** (1.0 / p)
 
 
 def mu_guaranteed(params: PhysicalParams, gains: FeedbackGains,
@@ -222,9 +220,8 @@ def mu_guaranteed(params: PhysicalParams, gains: FeedbackGains,
     term1 = (gains.mu2 * b * math.exp(-gains.delta * kernel.tau2) * gains.delta
              / (2.0 * (1.0 + gains.mu1 * b)))
     p, L = params.p, params.L
-    pi2 = math.pi * math.pi
-    bracket = ((p + 2.0) * (3.0 * pi2 * params.b - params.a * L * L)
-               - 2.0 * pi2 * L ** (2.0 - p / 2.0) * r ** p)
+    bracket = ((p + 2.0) * _length_gap(params)
+               - 2.0 * _PI2 * L ** (2.0 - p / 2.0) * r ** p)
     term2 = gains.mu1 * bracket / (2.0 * L * L * (1.0 + L * gains.mu1) * (p + 2.0))
     return min(term1, term2)
 
@@ -273,16 +270,17 @@ def build_certificate(params: PhysicalParams, gains: FeedbackGains,
     value, gain_ok = check_gain_condition(gains, kernel)
     if not gain_ok:
         failures.append("gain_condition")
-    Lc = critical_length(params)
-    length_ok = params.L < Lc
+    length_ok = _length_gap(params) > 0.0
     if not length_ok:
         failures.append("length_condition")
     P = assemble_P(gains, kernel)
-    Pstar = assemble_P_star(gains, kernel)
+    # the adjoint-side P*: P with the off-diagonal alpha |beta| for alpha beta
+    sign = math.copysign(1.0, gains.beta)
+    Pstar = P * np.array([[1.0, sign], [sign, 1.0]])
     T = assemble_T(gains, kernel, params)
     detT = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
     trT = T[0, 0] + T[1, 1]
-    T_neg = detT > 0.0 and trT < 0.0
+    T_neg = is_negative_definite(T)
     if not T_neg:
         failures.append("T_negative_definite")
     rmax = r_max(params) if length_ok else float("nan")
@@ -296,7 +294,7 @@ def build_certificate(params: PhysicalParams, gains: FeedbackGains,
             failures.append("mu_guaranteed_positive")
     return Certificate(
         gain_condition_value=value, gain_condition_ok=gain_ok,
-        critical_length=Lc, length_ok=length_ok,
+        critical_length=critical_length(params), length_ok=length_ok,
         P=P, P_star=Pstar, T=T,
         detP=float(np.linalg.det(P)), trP=float(np.trace(P)),
         detT=float(detT), trT=float(trT), T_negative_definite=T_neg,

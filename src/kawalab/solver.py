@@ -96,7 +96,7 @@ dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 class SolverAbort(RuntimeError):
     """A run that cannot go on.  `run` fills in the time and the value of
     the last finite ||u||^2 before the abort (None if there is none), and
-    the energy ||u||^2 + |beta| z_plain at that step (None if it is not
+    the energy `diagnostics.energy` at that step (None if it is not
     finite); a blow-up overflows ||u||^2 some steps before the state itself."""
 
     def __init__(self, message, step_index, t):
@@ -512,15 +512,15 @@ def run(config: SimConfig) -> RunResult:
                 e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
                 # the failed step pushed nothing: the trace ends at t_{k-1}
                 tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
-                E = e.last_finite_l2 + abs(config.gains.beta) * float(
-                    tv.z_plain[j])
+                E = float(diagnostics.energy(l2[j], tv.z_plain[j],
+                                             config.gains))
                 e.last_finite_E = E if math.isfinite(E) else None
             raise
 
     tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
     series = TimeSeries(t=t, w=buf.trace[i0:], l2=l2, **tv._asdict())
     records = diagnostics.build_records(config, series, rec_steps, rec_scalars)
-    h0 = l2[0] + abs(config.gains.beta) * series.z_plain[0]
+    h0 = diagnostics.energy(l2[0], series.z_plain[0], config.gains)
     mms_err = None
     if st.mms_exact is not None:
         exact = st.mms_exact(st.grid.x, buf.t_now)

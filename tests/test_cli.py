@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -376,6 +377,48 @@ def test_exit_2_length_condition_named(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "length_condition" in capsys.readouterr().err
+
+
+def _length_edge_doc():
+    """L < sqrt(3b/a)*pi, but 3 pi^2 b - a L^2 <= 0: the length condition
+    fails, and r_max with it."""
+    doc = doc_with(model={"a": 2.988560104211836, "b": 0.2200043197174797,
+                          "L": 1.476369643582072},
+                   numerics={"T_end": 0.5})
+    doc["initial"]["u0"] = {"type": "sine", "amplitude": 0.1}
+    return doc
+
+
+def test_check_at_the_length_edge_writes_the_certificate(tmp_path, capsys):
+    rc = main(["check", "--config", write_doc(tmp_path, _length_edge_doc()),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "length_condition" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "certificate.json").read_text())
+    assert "length_condition" in payload["failures"]
+    assert payload["r_max"] is None and payload["mu_guaranteed"] is None
+
+
+def test_run_at_the_length_edge_warns_and_runs(tmp_path, capsys):
+    rc = main(["run", "--config", write_doc(tmp_path, _length_edge_doc()),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert "warning: failed certificates" in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "length_condition" in report["certificate"]["failures"]
+    assert (tmp_path / "series.csv").exists()
+
+
+def test_exit_2_vanishing_kernel_integral(tmp_path, capsys):
+    """A kernel whose integral is 0.0 in floating point fails as it is
+    built: exit 2, before any certificate."""
+    doc = doc_with(kernel={"form": "exponential",
+                           "params": {"c": 1.0, "sigma": 1000.0}})
+    rc = main(["check", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "kernel integral vanishes" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def _strict_json(text):
@@ -955,20 +998,36 @@ def fresh_python(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-def test_run_set_up_imports_no_deferred_module():
-    """Importing the CLI and setting up the reference run loads neither the
-    scipy.linalg package (the solver loads only its LAPACK wrappers), the
-    quadrature stack (tabulated kernels), sympy (MMS) nor the process pool
-    (sweeps): they cost ~0.5 s and ~50 MB in every process."""
+# whether the solver's band routines are those of scipy.linalg.lapack
+LAPACK_IDENTITY = """
+from kawalab import solver
+from scipy.linalg import lapack
+print(lapack.dgbtrf is solver.dgbtrf, lapack.dgbtrs is solver.dgbtrs,
+      lapack._flapack is solver._flapack)
+"""
+
+
+@functools.cache
+def set_up_then_scipy_linalg() -> tuple:
+    """The two stdout lines of one new interpreter that sets up the
+    reference run and prints the deferred modules it loaded, then imports
+    scipy.linalg and prints LAPACK_IDENTITY."""
     config = os.path.join(REPO, "configs", "reference.json")
-    loaded = fresh_python(f"""
+    return tuple(fresh_python(f"""
 import sys
 import kawalab.cli as cli
 from kawalab.solver import Stepper
 Stepper(cli.build_sim_config(cli.load_config({config!r})))
 print([m for m in {DEFERRED!r} if m in sys.modules])
-""")
-    assert loaded.strip() == "[]"
+""" + LAPACK_IDENTITY).splitlines())
+
+
+def test_run_set_up_imports_no_deferred_module():
+    """Importing the CLI and setting up the reference run loads neither the
+    scipy.linalg package (the solver loads only its LAPACK wrappers), the
+    quadrature stack (tabulated kernels), sympy (MMS) nor the process pool
+    (sweeps): they cost ~0.5 s and ~50 MB in every process."""
+    assert set_up_then_scipy_linalg()[0] == "[]"
 
 
 def test_tabulated_moment_imports_quadrature_where_used():
@@ -989,15 +1048,12 @@ print(before, "scipy.integrate" in sys.modules, repr(k.lambda_integral))
 def test_band_routines_are_scipy_linalg_lapack_functions(first):
     """The solver's dgbtrf/dgbtrs are the very objects that
     scipy.linalg.lapack exports, and both use one wrapper module, whichever
-    of the two is imported first."""
-    out = fresh_python(f"""
-import importlib
-importlib.import_module({first!r})
-from kawalab import solver
-from scipy.linalg import lapack
-print(lapack.dgbtrf is solver.dgbtrf, lapack.dgbtrs is solver.dgbtrs,
-      lapack._flapack is solver._flapack)
-""")
+    of the two is imported first.  The kawalab.solver case shares the
+    interpreter of the set-up test, which imports the solver first."""
+    if first == "kawalab.solver":
+        out = set_up_then_scipy_linalg()[1]
+    else:
+        out = fresh_python("import scipy.linalg\n" + LAPACK_IDENTITY)
     assert out.split() == ["True", "True", "True"]
 
 

@@ -1,5 +1,6 @@
 """Energy records, decay fits, a priori estimates, observability, spectra."""
 
+import importlib.util
 import math
 import os
 import re
@@ -216,12 +217,23 @@ def test_spectral_lemma_curve():
     assert all(v > 0.0 for v in out.values())
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPECTRAL_SCAN = os.path.join(REPO, "scripts", "spectral_scan.py")
+
+
 def _spectral_scan(*args):
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    return subprocess.run(
-        [sys.executable, os.path.join(repo, "scripts", "spectral_scan.py"), *args],
-        env=env, capture_output=True, text=True, timeout=120)
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    return subprocess.run([sys.executable, SPECTRAL_SCAN, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def _spectral_scan_main(argv):
+    """The script's main(argv), run in this interpreter."""
+    spec = importlib.util.spec_from_file_location("spectral_scan",
+                                                  SPECTRAL_SCAN)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.main(argv)
 
 
 def test_spectral_scan_script_smoke():
@@ -237,13 +249,19 @@ def test_spectral_scan_script_smoke():
 
 
 @pytest.mark.parametrize("arg", ["30", "50", "sixty", "60.5"])
-def test_spectral_scan_script_rejects_bad_n(arg):
+def test_spectral_scan_script_rejects_bad_n(arg, capsys):
     """N must be an integer above the 50 eigenpairs scanned: exit 2 with a
-    usage line, no traceback."""
-    proc = _spectral_scan(arg)
-    assert proc.returncode == 2
-    assert proc.stdout == "" and proc.stderr.startswith("usage:")
-    assert "Traceback" not in proc.stderr
+    usage line, no traceback.  'sixty' runs the script in a new interpreter,
+    through its sys.exit; the other arguments call its main in this one."""
+    if arg == "sixty":
+        proc = _spectral_scan(arg)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code = _spectral_scan_main([arg])
+        out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("usage:")
+    assert "Traceback" not in err
 
 
 def test_spectral_residuals_needs_fewer_pairs_than_n():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from conftest import det_P_closed_form
 from kawalab import model
 from kawalab.model import (ConditionError, FeedbackGains, MemoryKernel,
-                           PhysicalParams, assemble_P, assemble_P_star,
-                           assemble_T, build_certificate, check_gain_condition,
+                           PhysicalParams, assemble_P, assemble_T, build_certificate, check_gain_condition,
                            critical_length, is_negative_definite,
                            mu_guaranteed, r_max)
 
@@ -110,8 +109,11 @@ def test_P_negative_definite_iff_gain_condition(gains, kernel):
 @settings(max_examples=100, deadline=None)
 @given(gains=admissible_gains, kernel=kernels)
 def test_P_star_shares_det_and_trace(gains, kernel):
-    P = assemble_P(gains, kernel)
-    Ps = assemble_P_star(gains, kernel)
+    cert = build_certificate(PhysicalParams(a=1.0, b=1.0, L=math.pi, p=1.0),
+                             gains, kernel)
+    P, Ps = cert.P, cert.P_star
+    assert (P == assemble_P(gains, kernel)).all()
+    assert Ps[0, 1] == Ps[1, 0] == gains.alpha * abs(gains.beta)
     assert np.trace(P) == pytest.approx(np.trace(Ps), rel=1e-14)
     assert np.linalg.det(P) == pytest.approx(np.linalg.det(Ps), rel=1e-10,
                                              abs=1e-14)
@@ -164,6 +166,45 @@ def test_certificate_collects_failures(ref_kernel):
     assert "length_condition" in cert.failures
 
 
+# the edge of the length condition: (a, b, L) with L < sqrt(3b/a)*pi but
+# 3 pi^2 b - a L^2 <= 0, where the two forms of the test disagree
+EDGE = dict(a=2.988560104211836, b=0.2200043197174797, L=1.476369643582072)
+
+
+def test_certificate_at_the_length_edge_collects_the_failure(ref_gains,
+                                                             ref_kernel):
+    params = PhysicalParams(p=1.0, **EDGE)
+    assert params.L < critical_length(params)
+    cert = build_certificate(params, ref_gains, ref_kernel)
+    assert not cert.length_ok
+    assert "length_condition" in cert.failures
+    assert math.isnan(cert.r_max) and math.isnan(cert.mu_guaranteed)
+    with pytest.raises(ConditionError, match="length"):
+        r_max(params)
+
+
+def test_length_ok_exactly_when_r_max_returns(ref_gains, ref_kernel):
+    """Seeded (a, b) in [0.1, 5]^2, with L one float below, at and one above
+    sqrt(3b/a)*pi: the certificate never raises, and it passes the length
+    test exactly when r_max returns a radius."""
+    rng = np.random.default_rng(26)
+    disagree = 0    # cases where the sqrt(3b/a)*pi form decides otherwise
+    for a, b in rng.uniform(0.1, 5.0, size=(700, 2)):
+        Lc = math.sqrt(3.0 * b / a) * math.pi
+        for L in (np.nextafter(Lc, 0.0), Lc, np.nextafter(Lc, np.inf)):
+            params = PhysicalParams(a=float(a), b=float(b), L=float(L), p=1.0)
+            cert = build_certificate(params, ref_gains, ref_kernel)
+            try:
+                r_max(params)
+                returned = True
+            except ConditionError:
+                returned = False
+            assert cert.length_ok == returned, (a, b, L)
+            assert ("length_condition" in cert.failures) == (not returned)
+            disagree += cert.length_ok != (params.L < Lc)
+    assert disagree > 0     # the sample reaches the edge
+
+
 # ---------------------------------------------------------------------------
 # kernel integrals
 
@@ -202,6 +243,14 @@ def test_tabulated_kernel_integrates_with_one_quadrature(monkeypatch):
                      samples=((0.5, 1.0), (1.5, 2.0), (2.5, 1.0)))
     assert calls == [(1.0, 2.0)]
     assert k.lambda_integral == pytest.approx(1.75, rel=1e-9)
+
+
+def test_vanishing_kernel_integral_is_a_condition_error():
+    """exp(-1000 s) on (1, 2) integrates to 0.0 in floating point: the kernel
+    is rejected where its integral is computed, before any P is formed."""
+    with pytest.raises(ConditionError, match="kernel integral vanishes"):
+        MemoryKernel(tau1=1.0, tau2=2.0, form="exponential", c=1.0,
+                     sigma=1000.0)
 
 
 def test_kernel_validation():

@@ -231,7 +231,8 @@ class ReferenceStepper:
     """The plain formulation of Stepper.step on the dense-row assembly of A:
     banded matrices copied entry by entry from the dense I + theta dt A and
     solved with solve_banded on every step, memory_integral for the feedback
-    and dense D1 matvecs."""
+    and dense D1 matvecs.  The MMS forcing and the dense I - dt/2 A of the
+    right-hand side are built once."""
 
     def __init__(self, st):
         self.st = st
@@ -246,6 +247,11 @@ class ReferenceStepper:
             q = solve_banded((4, 4), ab, op.g_F)
             denom = 1.0 + theta_dt * alpha * float(op.trace0_vec @ q)
             self.systems[be] = (ab, q, theta_dt * alpha, denom)
+        self.rhs_matrix = np.eye(N) - 0.5 * dt * self.A
+        self.forcing = None
+        if cfg.mms_amplitude is not None:
+            _, self.forcing = _build_mms(cfg.params, cfg.mms_amplitude,
+                                         cfg.linear_only)
 
     @staticmethod
     def to_banded(M):
@@ -281,14 +287,13 @@ class ReferenceStepper:
             nl = self.nonlinear(u)
             nl_mid = 1.5 * nl - 0.5 * prev_nl if not be and prev_nl is not None else nl
             expl = expl - nl_mid
-        if cfg.mms_amplitude is not None:
-            _, forcing = _build_mms(cfg.params, cfg.mms_amplitude,
-                                    cfg.linear_only)
-            expl = expl + forcing(self.st.grid.x, t + dt if be else t + 0.5 * dt)
+        if self.forcing is not None:
+            expl = expl + self.forcing(self.st.grid.x,
+                                       t + dt if be else t + 0.5 * dt)
         if be:
             rhs = u + dt * expl
         else:
-            rhs = (np.eye(cfg.N) - 0.5 * dt * self.A) @ u
+            rhs = self.rhs_matrix @ u
             rhs -= 0.5 * dt * cfg.gains.alpha * op.trace_uxx0(u) * op.g_F
             rhs += dt * expl
         u_new = self.solve(rhs, be)
