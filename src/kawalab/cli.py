@@ -24,7 +24,7 @@ import numpy as np
 from . import diagnostics
 from .model import (Certificate, ConditionError, FeedbackGains, MemoryKernel,
                     PhysicalParams, build_certificate, r_max)
-from .solver import MAX_N, SimConfig, SolverAbort, run
+from .solver import MAX_N, SimConfig, SolverAbort, _build_mms, run
 
 
 class ConfigError(ValueError):
@@ -300,12 +300,22 @@ def _build_z0(f: dict):
 
 
 def build_sim_config(doc: dict) -> SimConfig:
-    """The run's config; a key of `doc` that it never reads is an error."""
+    """The run's config; a key of `doc` that it never reads is an error.
+    With `mms_amplitude` it starts from the manufactured solution at t = 0
+    and a zero history (its trace u_xx(t, 0) is 0), reading no `initial`."""
     f = _read(doc)
     params, gains, kernel = _model(f)
-    return SimConfig(params=params, gains=gains, kernel=kernel,
-                     u0=_build_u0(f, params), z0=_build_z0(f),
-                     mms_amplitude=f["mms_amplitude"], **_kwargs(f, "numerics"))
+    amp = f["mms_amplitude"]
+    if amp is None:
+        u0, z0 = _build_u0(f, params), _build_z0(f)
+    elif "initial" in doc:
+        raise UnusedFieldError("field(s) not read beside 'mms_amplitude': "
+                               "'initial'")
+    else:
+        exact = _build_mms(params, amp, linear_only=False)[0]
+        u0, z0 = (lambda x: exact(x, 0.0)), (lambda t: 0.0)
+    return SimConfig(params=params, gains=gains, kernel=kernel, u0=u0, z0=z0,
+                     mms_amplitude=amp, **_kwargs(f, "numerics"))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +364,7 @@ def _ensure_out(out: str) -> str:
 
 
 def cmd_check(doc: dict, out: str) -> int:
-    params, gains, kernel = build_model(doc)
-    cert = build_certificate(params, gains, kernel)
+    cert = build_certificate(*build_model(doc))
     payload = cert.to_dict()
     print(_dumps(payload))
     _write_json(os.path.join(_ensure_out(out), "certificate.json"), payload)
@@ -411,8 +420,7 @@ def _run_report(result, config: SimConfig, cert: Certificate) -> dict:
 
 def cmd_run(doc: dict, out: str) -> int:
     config = build_sim_config(doc)
-    params, gains, kernel = config.params, config.gains, config.kernel
-    cert = build_certificate(params, gains, kernel)
+    cert = build_certificate(config.params, config.gains, config.kernel)
     if not cert.ok:
         print("warning: failed certificates (run proceeds): "
               + ", ".join(cert.failures), file=sys.stderr)
@@ -521,6 +529,8 @@ def cmd_sweep(doc: dict, out: str, axis: str, values, workers: int) -> int:
 
 
 def cmd_verify(doc: dict, out: str) -> int:
+    if "mms_amplitude" in doc:  # verify checks the unforced system
+        raise UnusedFieldError("field(s) not read by verify: 'mms_amplitude'")
     config = build_sim_config(doc)
     params, gains, kernel = config.params, config.gains, config.kernel
     # the observability samples run over this window, whatever T_end is
@@ -572,8 +582,6 @@ def cmd_verify(doc: dict, out: str) -> int:
     add("observability_c_obs", 0.0, c_obs, c_obs > 0.0,
         note="evidence only, not a proof; C = 1/c_obs")
 
-    spectral = {}
-    spec_ok = True
     try:
         thresh = diagnostics.spectral_threshold(params.L, Ns=(200, 400))
         resid = float(diagnostics.spectral_residuals(params.L, 300).min())
@@ -586,8 +594,7 @@ def cmd_verify(doc: dict, out: str) -> int:
         spectral.get("min_residual"), spec_ok,
         note="a = b = 1 as in the lemma; residual of the sixth condition")
 
-    asserted = [c for c in checks if c["pass"] is not None]
-    all_ok = all(c["pass"] for c in asserted)
+    all_ok = all(c["pass"] for c in checks if c["pass"] is not None)
     report = {"checks": checks, "observability_ratios": ratios,
               "spectral": spectral, "all_pass": all_ok}
     _write_json(os.path.join(_ensure_out(out), "report.json"), report)

@@ -40,8 +40,8 @@ class MemoryKernel:
     """Kernel lam(s) on (tau1, tau2), positive and essentially bounded.
 
     Forms: 'constant' lam = c, 'exponential' lam = c*exp(-sigma*s), and
-    'tabulated' (piecewise-linear through `samples`).  `lambda_integral` is
-    int lam: analytic for the first two, quadrature to 1e-10 for the third.
+    'tabulated' (piecewise-linear through `samples`, its end values held
+    beyond them).  `lambda_integral` is int lam, in closed form for each.
     """
 
     tau1: float
@@ -58,8 +58,8 @@ class MemoryKernel:
         if self.form not in ("constant", "exponential", "tabulated"):
             raise ValueError(f"unknown kernel form {self.form!r}")
         if self.form == "tabulated":
-            s = np.array([p[0] for p in self.samples], dtype=float)
-            v = np.array([p[1] for p in self.samples], dtype=float)
+            s, v = np.reshape(np.array(self.samples, dtype=float),
+                              (len(self.samples), 2)).T
             if len(s) < 2 or np.any(np.diff(s) <= 0):
                 raise ValueError("tabulated kernel needs increasing sample abscissae")
             if np.any(v <= 0):
@@ -78,31 +78,21 @@ class MemoryKernel:
         elif self.form == "exponential":
             out = self.c * np.exp(-self.sigma * s)
         else:
-            xs = np.array([p[0] for p in self.samples])
-            ys = np.array([p[1] for p in self.samples])
-            out = np.interp(s, xs, ys)
+            out = np.interp(s, *np.array(self.samples, dtype=float).T)
         return out if out.ndim else float(out)
 
     def _integral(self) -> float:
-        """Integral of lam over (tau1, tau2): analytic for the constant and
-        exponential forms; adaptive quadrature for tabulated kernels
-        (abs/rel tolerance 1e-10)."""
+        """Integral of lam over (tau1, tau2).  A tabulated lam is linear
+        between tau1, the sample abscissae inside (tau1, tau2) and tau2, so
+        the trapezoid rule on those nodes is its exact integral."""
         t1, t2 = self.tau1, self.tau2
         if self.form == "constant":
             return self.c * (t2 - t1)
         if self.form == "exponential":
             return self.c * _int_exp(self.sigma, t1, t2)
-        # local import: scipy.integrate (with scipy.special and
-        # scipy.optimize) costs ~0.3 s and only tabulated kernels use it
-        from scipy.integrate import quad
-
-        pts = [p[0] for p in self.samples if t1 < p[0] < t2]
-        val, err = quad(lambda s: float(self(s)), t1, t2,
-                        points=pts, epsabs=1e-10, epsrel=1e-10, limit=200)
-        if err > 1e-8 * (1.0 + abs(val)):
-            raise ConditionError(
-                f"kernel integral quadrature achieved only {err:.3e}")
-        return val
+        nodes = np.array([t1, *(p[0] for p in self.samples if t1 < p[0] < t2),
+                          t2])
+        return float(np.trapezoid(self(nodes), nodes))
 
 
 def _int_exp(sig: float, t1: float, t2: float) -> float:
@@ -183,13 +173,17 @@ def assemble_T(gains: FeedbackGains, kernel: MemoryKernel,
     return P
 
 
+def _det(M: np.ndarray) -> float:
+    """M00 M11 - M01 M10: the one determinant of a 2x2 matrix here."""
+    return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+
+
 def is_negative_definite(M: np.ndarray) -> bool:
     """2x2 symmetric negativity via det > 0 and trace < 0."""
     M = np.asarray(M, dtype=float)
     if M.shape != (2, 2) or abs(M[0, 1] - M[1, 0]) > 1e-12 * (1.0 + abs(M[0, 1])):
         raise ValueError("expected a symmetric 2x2 matrix")
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    return det > 0.0 and M[0, 0] + M[1, 1] < 0.0
+    return _det(M) > 0.0 and M[0, 0] + M[1, 1] < 0.0
 
 
 def r_max(params: PhysicalParams) -> float:
@@ -278,8 +272,6 @@ def build_certificate(params: PhysicalParams, gains: FeedbackGains,
     sign = math.copysign(1.0, gains.beta)
     Pstar = P * np.array([[1.0, sign], [sign, 1.0]])
     T = assemble_T(gains, kernel, params)
-    detT = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-    trT = T[0, 0] + T[1, 1]
     T_neg = is_negative_definite(T)
     if not T_neg:
         failures.append("T_negative_definite")
@@ -296,6 +288,6 @@ def build_certificate(params: PhysicalParams, gains: FeedbackGains,
         gain_condition_value=value, gain_condition_ok=gain_ok,
         critical_length=critical_length(params), length_ok=length_ok,
         P=P, P_star=Pstar, T=T,
-        detP=float(np.linalg.det(P)), trP=float(np.trace(P)),
-        detT=float(detT), trT=float(trT), T_negative_definite=T_neg,
+        detP=_det(P), trP=float(np.trace(P)),
+        detT=_det(T), trT=float(T[0, 0] + T[1, 1]), T_negative_definite=T_neg,
         r_max=rmax, r=r, mu_guaranteed=mu, failures=tuple(failures))

@@ -21,7 +21,6 @@ from conftest import REFERENCE_DOC, reference_sim_config
 from kawalab import cli, solver
 from kawalab.cli import (ConfigError, build_model, build_sim_config,
                          load_config, main)
-from kawalab.model import MemoryKernel
 
 
 def write_doc(tmp_path, doc, name="cfg.json"):
@@ -525,6 +524,38 @@ def test_run_without_records(tmp_path):
     assert report["invariants"]["energy_monotone"] is True
 
 
+def test_mms_run_starts_from_the_manufactured_solution(tmp_path):
+    """A run with `mms_amplitude` starts from the manufactured solution at
+    t = 0 and a zero history, so that its mms_error is the discretization's."""
+    doc = short_run_doc()
+    del doc["initial"]
+    doc["mms_amplitude"] = 0.5
+    assert main(["run", "--config", write_doc(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    params, gains, kernel = build_model(doc)
+    exact, _ = solver._build_mms(params, 0.5, False)
+    config = solver.SimConfig(params, gains, kernel, N=128, dt=0.01,
+                              T_end=2.0, u0=lambda x: exact(x, 0.0),
+                              z0=lambda t: 0.0, mms_amplitude=0.5)
+    assert report["mms_error"] == solver.run(config).mms_error < 1e-3
+
+
+@pytest.mark.parametrize("command, field", [("run", "initial"),
+                                            ("verify", "mms_amplitude")])
+def test_exit_1_field_unread_beside_mms_amplitude(tmp_path, capsys, command,
+                                                  field):
+    """A run with `mms_amplitude` reads no `initial` section, and `verify`,
+    which checks the unforced system, reads no `mms_amplitude`."""
+    doc = doc_with(numerics={"T_end": 2.0, "linear_only": True})
+    doc["mms_amplitude"] = 0.5
+    rc = main([command, "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_energy_monotone_sees_a_rise_of_2e_10():
     """An energy that rises by 2e-10 E(0) exceeds the tolerance 1e-10 E(0)."""
     E = np.array([1.0, 0.5, 0.5 + 2e-10])
@@ -887,24 +918,32 @@ _FUZZ_PATCHES = [
     {"kernel": {"form": "exponential", "params": {"c": 1.0, "sigma": 0.5}}},
     {"kernel": {"form": "tabulated",
                 "params": {"samples": [[0.5, 1.0], [2.5, 1.0]]}}},
-    {"mms_amplitude": 0.01},
+    # a manufactured-solution run reads no `initial` section
+    {"mms_amplitude": 0.01, "initial": _MISSING},
 ]
 
 
 def _fuzz_doc(i):
     doc = dict(_FUZZ_BASE)
     for key, patch in _FUZZ_PATCHES[i].items():
-        doc[key] = {**doc[key], **patch} if isinstance(patch, dict) else patch
+        if patch is _MISSING:
+            del doc[key]
+        else:
+            doc[key] = ({**doc[key], **patch} if isinstance(patch, dict)
+                        else patch)
     return json.loads(json.dumps(doc))  # deep copy
 
 
 def _fuzz_cases():
-    """(document index, path) for every row and section that applies."""
+    """(document index, path) for every row and section that applies,
+    within the document's sections."""
     cases = set()
     for i in range(len(_FUZZ_PATCHES)):
-        for path in cli._read(_fuzz_doc(i)):
+        doc = _fuzz_doc(i)
+        for path in cli._read(doc):
             keys = tuple(path.split("."))
-            cases.update((i, keys[:k]) for k in range(1, len(keys) + 1))
+            if keys[0] in doc:
+                cases.update((i, keys[:k]) for k in range(1, len(keys) + 1))
     return sorted(cases)
 
 
@@ -983,6 +1022,27 @@ def test_verify_nonlinear_reports_apriori_skipped(tmp_path):
     assert notes and "skipped (nonlinear" in notes[0]
 
 
+def test_verify_reports_an_unstabilised_spectrum(tmp_path, monkeypatch):
+    """Where the spectral threshold does not stabilise, report.json's
+    `spectral` holds L and the error, and the spectral check fails."""
+    message = "spectral residual not stabilized at L = 3.14"
+
+    def unstabilised(L, Ns):
+        raise ValueError(message)
+
+    monkeypatch.setattr(cli.diagnostics, "spectral_threshold", unstabilised)
+    doc = doc_with(numerics={"T_end": 5.0, "linear_only": True})
+    rc = main(["verify", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["spectral"] == {"L": math.pi, "error": message}
+    (check,) = (c for c in report["checks"]
+                if c["check_name"] == "spectral_lemma")
+    assert check["pass"] is False
+    assert report["all_pass"] is False
+
+
 # ---------------------------------------------------------------------------
 # start-up: a command imports only the modules it runs
 
@@ -1010,38 +1070,29 @@ print(lapack.dgbtrf is solver.dgbtrf, lapack.dgbtrs is solver.dgbtrs,
 @functools.cache
 def set_up_then_scipy_linalg() -> tuple:
     """The two stdout lines of one new interpreter that sets up the
-    reference run and prints the deferred modules it loaded, then imports
-    scipy.linalg and prints LAPACK_IDENTITY."""
+    reference run and a run with a tabulated kernel and prints the deferred
+    modules it loaded, then imports scipy.linalg and prints LAPACK_IDENTITY."""
     config = os.path.join(REPO, "configs", "reference.json")
     return tuple(fresh_python(f"""
 import sys
 import kawalab.cli as cli
 from kawalab.solver import Stepper
-Stepper(cli.build_sim_config(cli.load_config({config!r})))
+doc = cli.load_config({config!r})
+Stepper(cli.build_sim_config(doc))
+doc["kernel"] = {{"form": "tabulated", "tau1": 1.0, "tau2": 2.0, "params":
+                 {{"samples": [[0.5, 1.0], [1.5, 1.4], [2.5, 0.8]]}}}}
+Stepper(cli.build_sim_config(doc))
 print([m for m in {DEFERRED!r} if m in sys.modules])
 """ + LAPACK_IDENTITY).splitlines())
 
 
 def test_run_set_up_imports_no_deferred_module():
-    """Importing the CLI and setting up the reference run loads neither the
-    scipy.linalg package (the solver loads only its LAPACK wrappers), the
-    quadrature stack (tabulated kernels), sympy (MMS) nor the process pool
-    (sweeps): they cost ~0.5 s and ~50 MB in every process."""
+    """Importing the CLI and setting up the reference run, or a run with a
+    tabulated kernel, loads neither the scipy.linalg package (the solver
+    loads only its LAPACK wrappers), the quadrature stack, sympy (MMS) nor
+    the process pool (sweeps): they cost ~0.5 s and ~50 MB in every
+    process."""
     assert set_up_then_scipy_linalg()[0] == "[]"
-
-
-def test_tabulated_moment_imports_quadrature_where_used():
-    out = fresh_python("""
-import sys
-from kawalab.model import MemoryKernel
-before = "scipy.integrate" in sys.modules
-k = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
-                 samples=((0.5, 1.0), (2.5, 3.0)))
-print(before, "scipy.integrate" in sys.modules, repr(k.lambda_integral))
-""").split()
-    assert out[:2] == ["False", "True"]
-    # lam(s) = s + 0.5 on (1, 2)
-    assert float(out[2]) == pytest.approx(2.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("first", ["kawalab.solver", "scipy.linalg"])
@@ -1074,26 +1125,3 @@ def test_lapack_loader_falls_back_to_scipy_linalg(monkeypatch):
     assert lapack.__name__ == "scipy.linalg.lapack"
     assert lapack.dgbtrf is solver.dgbtrf
     assert lapack.dgbtrs is solver.dgbtrs
-
-
-def test_tabulated_run_identical_after_scipy_linalg_loads(tmp_path):
-    """A tabulated kernel's integral loads scipy.integrate, which imports
-    scipy.linalg on top of the module the solver registered; series.csv
-    equals that of a process that imported scipy.linalg before kawalab."""
-    doc = doc_with(numerics={"N": 48, "T_end": 2.0})
-    doc["kernel"] = {"form": "tabulated", "tau1": 1.0, "tau2": 2.0,
-                     "params": {"samples": [[0.5, 1.0], [1.5, 1.4], [2.5, 0.8]]}}
-    config = write_doc(tmp_path, doc)
-    series = {}
-    for first in ("", "import scipy.linalg"):
-        out = str(tmp_path / ("linalg_first" if first else "kawalab_first"))
-        printed = fresh_python(f"""
-import sys
-{first}
-from kawalab.cli import main
-rc = main(["run", "--config", {config!r}, "--out", {out!r}])
-print(rc, "scipy.linalg" in sys.modules)
-""")
-        assert printed.split()[-2:] == ["0", "True"]
-        series[first] = (tmp_path / out / "series.csv").read_bytes()
-    assert series[""] == series["import scipy.linalg"]

@@ -98,6 +98,24 @@ def test_detP_matches_closed_form(gains, kernel):
     assert det == pytest.approx(closed, rel=1e-12, abs=1e-14)
 
 
+def test_certificate_determinants_are_the_2x2_closed_form(ref_params):
+    """detP and detT are P00 P11 - P01 P10, the determinant the negativity
+    test reads, bit for bit; detP also matches det_P_closed_form."""
+    rng = np.random.default_rng(26)
+    for alpha, beta, mu1, mu2, c in rng.uniform(
+            (-0.95, -2.0, 0.0, 0.0, 0.05), (0.95, 2.0, 0.1, 0.1, 2.0),
+            size=(2000, 5)):
+        gains = FeedbackGains(alpha, beta, mu1, mu2)
+        kernel = MemoryKernel(tau1=1.0, tau2=2.0, c=c)
+        cert = build_certificate(ref_params, gains, kernel)
+        (p00, p01), (p10, p11) = cert.P
+        (t00, t01), (t10, t11) = cert.T
+        assert cert.detP == p00 * p11 - p01 * p10
+        assert cert.detT == t00 * t11 - t01 * t10
+        assert cert.detP == pytest.approx(det_P_closed_form(gains, kernel),
+                                          rel=1e-12, abs=1e-14)
+
+
 @settings(max_examples=200, deadline=None)
 @given(gains=admissible_gains, kernel=kernels)
 def test_P_negative_definite_iff_gain_condition(gains, kernel):
@@ -227,22 +245,39 @@ def test_tabulated_kernel_matches_constant():
     assert float(k(1.7)) == pytest.approx(1.0)
 
 
-def test_tabulated_kernel_integrates_with_one_quadrature(monkeypatch):
-    """Building a tabulated kernel makes one `quad` call: int lam."""
-    import scipy.integrate
+def test_tabulated_kernel_integrals_are_exact():
+    """The interpolant's integral in closed form: a ramp lam(s) = s + 0.5 and
+    a tent through (1.5, 2), both held at their end values beyond (1, 2)."""
+    ramp = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
+                        samples=((0.5, 1.0), (2.5, 3.0)))
+    assert ramp.lambda_integral == 2.0
+    tent = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
+                        samples=((0.5, 1.0), (1.5, 2.0), (2.5, 1.0)))
+    assert tent.lambda_integral == 1.75
 
-    calls = []
-    quad = scipy.integrate.quad
 
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
+def test_tabulated_kernel_integral_matches_quadrature_oracle():
+    """Seeded tabulated kernels against scipy's adaptive `quad` with a break
+    point at each sample inside (tau1, tau2): their tables start past tau1
+    or exactly on it, end past tau2 or exactly on it, and hold up to five
+    samples inside."""
+    from scipy.integrate import quad
 
-    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    k = MemoryKernel(tau1=1.0, tau2=2.0, form="tabulated",
-                     samples=((0.5, 1.0), (1.5, 2.0), (2.5, 1.0)))
-    assert calls == [(1.0, 2.0)]
-    assert k.lambda_integral == pytest.approx(1.75, rel=1e-9)
+    rng = np.random.default_rng(27)
+    worst = 0.0
+    for i in range(1200):
+        t1 = rng.uniform(0.1, 1.5)
+        t2 = t1 + rng.uniform(0.2, 2.0)
+        inner = np.sort(rng.uniform(t1, t2, size=rng.integers(0, 6)))
+        left = [t1] if i % 2 else t1 - np.sort(rng.uniform(0.01, 0.5, 2))[::-1]
+        right = [t2] if i // 2 % 2 else t2 + np.sort(rng.uniform(0.01, 0.5, 2))
+        s = np.concatenate([left, inner, right])
+        k = MemoryKernel(tau1=t1, tau2=t2, form="tabulated", samples=tuple(
+            zip(s.tolist(), rng.uniform(0.05, 3.0, len(s)).tolist())))
+        exact, _ = quad(lambda x: float(k(x)), t1, t2, points=inner.tolist(),
+                        epsabs=1e-10, epsrel=1e-10, limit=200)
+        worst = max(worst, abs(k.lambda_integral - exact) / exact)
+    assert worst <= 1e-14
 
 
 def test_vanishing_kernel_integral_is_a_condition_error():
