@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -528,7 +529,7 @@ def test_mms_run_starts_from_the_manufactured_solution(tmp_path):
     """A run with `mms_amplitude` starts from the manufactured solution at
     t = 0 and a zero history, so that its mms_error is the discretization's."""
     doc = short_run_doc()
-    del doc["initial"]
+    del doc["initial"], doc["seed"]
     doc["mms_amplitude"] = 0.5
     assert main(["run", "--config", write_doc(tmp_path, doc),
                  "--out", str(tmp_path / "out")]) == 0
@@ -553,6 +554,28 @@ def test_exit_1_field_unread_beside_mms_amplitude(tmp_path, capsys, command,
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"'{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("moot", [("seed",), ("initial", "seed")])
+def test_exit_1_names_every_field_moot_beside_mms_amplitude(tmp_path, capsys,
+                                                            command, moot):
+    """`seed` seeds only random initial data, and a run with `mms_amplitude`
+    reads none, so `seed` is moot beside it as `initial` is; one message
+    names every such field present, and a sweep fails before any run."""
+    doc = short_run_doc()
+    for key in {"initial", "seed"} - set(moot):
+        del doc[key]
+    doc["mms_amplitude"] = 0.5
+    argv = [command, "--config", write_doc(tmp_path, doc),
+            "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--axis", "gains.alpha", "--values", "0.3,0.4",
+                 "--workers", "1"]
+    assert main(argv) == 1
+    assert ("field(s) not read beside 'mms_amplitude': "
+            + ", ".join(f"'{key}'" for key in moot)) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -918,8 +941,8 @@ _FUZZ_PATCHES = [
     {"kernel": {"form": "exponential", "params": {"c": 1.0, "sigma": 0.5}}},
     {"kernel": {"form": "tabulated",
                 "params": {"samples": [[0.5, 1.0], [2.5, 1.0]]}}},
-    # a manufactured-solution run reads no `initial` section
-    {"mms_amplitude": 0.01, "initial": _MISSING},
+    # a manufactured-solution run reads no `initial` section and no `seed`
+    {"mms_amplitude": 0.01, "initial": _MISSING, "seed": _MISSING},
 ]
 
 
@@ -992,12 +1015,21 @@ def test_fuzz_run_exits_with_documented_code(case, value):
 
 
 def test_verify_reference_passes(tmp_path, capsys):
+    """The spectral values come from a helper thread, which is gone when
+    `verify` returns, and equal those of the same calls made here."""
     doc = doc_with(numerics={"T_end": 5.0, "linear_only": True})
+    threads = threading.active_count()
     rc = main(["verify", "--config", write_doc(tmp_path, doc),
                "--out", str(tmp_path)])
     assert rc == 0
+    assert threading.active_count() == threads
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["all_pass"] is True
+    assert report["spectral"] == {
+        "L": math.pi,
+        "min_residual": float(cli.diagnostics.spectral_residuals(math.pi, 300)
+                              .min()),
+        "threshold": cli.diagnostics.spectral_threshold(math.pi, (200, 400))}
     names = {c["check_name"] for c in report["checks"]}
     assert {"est3", "est4", "sandwich", "energy_monotone",
             "observability_c_obs", "spectral_lemma"} <= names
@@ -1032,9 +1064,13 @@ def test_verify_reports_an_unstabilised_spectrum(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.diagnostics, "spectral_threshold", unstabilised)
     doc = doc_with(numerics={"T_end": 5.0, "linear_only": True})
+    threads = threading.active_count()
     rc = main(["verify", "--config", write_doc(tmp_path, doc),
                "--out", str(tmp_path)])
     assert rc == 2
+    # the error, raised in the helper thread, reaches the spectral check,
+    # and the thread is gone
+    assert threading.active_count() == threads
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["spectral"] == {"L": math.pi, "error": message}
     (check,) = (c for c in report["checks"]
@@ -1043,12 +1079,31 @@ def test_verify_reports_an_unstabilised_spectrum(tmp_path, monkeypatch):
     assert report["all_pass"] is False
 
 
+def test_verify_abort_waits_for_the_spectral_thread(tmp_path, monkeypatch,
+                                                    capsys):
+    """A solver abort in the main run ends `verify` with exit 3 after the
+    helper thread's eigensolves finish: no thread outlives the command."""
+    def abort(config):
+        raise solver.SolverAbort("non-finite state", 7, 0.07)
+
+    monkeypatch.setattr(cli, "run", abort)
+    doc = doc_with(numerics={"T_end": 5.0, "linear_only": True})
+    threads = threading.active_count()
+    rc = main(["verify", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert threading.active_count() == threads
+    assert "solver abort: non-finite state" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # start-up: a command imports only the modules it runs
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFERRED = ("scipy.linalg", "scipy.integrate", "scipy.special",
-            "scipy.optimize", "sympy", "concurrent.futures.process")
+            "scipy.optimize", "sympy", "concurrent.futures.process",
+            "concurrent.futures.thread")
 
 
 def fresh_python(code: str) -> str:
@@ -1089,9 +1144,9 @@ print([m for m in {DEFERRED!r} if m in sys.modules])
 def test_run_set_up_imports_no_deferred_module():
     """Importing the CLI and setting up the reference run, or a run with a
     tabulated kernel, loads neither the scipy.linalg package (the solver
-    loads only its LAPACK wrappers), the quadrature stack, sympy (MMS) nor
-    the process pool (sweeps): they cost ~0.5 s and ~50 MB in every
-    process."""
+    loads only its LAPACK wrappers), the quadrature stack, sympy (MMS), the
+    process pool (sweeps) nor the thread pool (verify): they cost ~0.5 s
+    and ~50 MB in every process."""
     assert set_up_then_scipy_linalg()[0] == "[]"
 
 
