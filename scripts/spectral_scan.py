@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from kawalab.diagnostics import spectral_lemma_test
+from kawalab.diagnostics import spectral_residuals
 
 N_PAIRS = 50
 USAGE = (f"usage: spectral_scan.py [N]  (N an integer above {N_PAIRS},"
@@ -31,8 +31,8 @@ def main(argv):
         print(USAGE, file=sys.stderr)
         return 2
     Ls = np.arange(0.5, 10.01, 0.1)
-    curve = spectral_lemma_test([float(L) for L in Ls], N=N, n_pairs=N_PAIRS)
-    residuals = np.array([curve[float(L)] for L in Ls])
+    residuals = np.array([spectral_residuals(float(L), N, N_PAIRS).min()
+                          for L in Ls])
     floor = np.median(residuals) * 0.05
     print("L,min_residual,candidate")
     for L, r in zip(Ls, residuals):

@@ -24,7 +24,7 @@ import numpy as np
 from . import diagnostics
 from .model import (Certificate, ConditionError, FeedbackGains, MemoryKernel,
                     PhysicalParams, build_certificate, r_max)
-from .solver import MAX_N, SimConfig, SolverAbort, _build_mms, run
+from .solver import MAX_N, RECORD, SimConfig, SolverAbort, _build_mms, run
 
 
 class ConfigError(ValueError):
@@ -351,7 +351,7 @@ def _write_json(path: str, obj: dict):
 
 def write_series_csv(path: str, records: np.recarray) -> None:
     """The records as CSV; each value is the `repr` of a Python float."""
-    lines = [",".join(diagnostics.RECORD.names)]
+    lines = [",".join(RECORD.names)]
     lines.extend(",".join(map(repr, row)) for row in records.tolist())
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -385,9 +385,9 @@ def _decay_fit(result, config: SimConfig) -> diagnostics.DecayFit:
 
 def _energy_monotone(records) -> tuple:
     """(largest energy increment between records, its tolerance 1e-10 E(0),
-    whether every increment stays within it)."""
+    whether every increment stays within it), of one or more records."""
     inc = np.diff(records.E)
-    tol = 1e-10 * (float(records.E[0]) if len(records) else 0.0)
+    tol = 1e-10 * float(records.E[0])
     if not inc.size:
         return 0.0, tol, True
     return float(inc.max()), tol, bool(inc.max() <= tol)
@@ -405,9 +405,12 @@ def _run_report(result, config: SimConfig, cert: Certificate) -> dict:
                                "r2": fit.r2, "kappa_hat": fit.kappa_hat}
     except ValueError as e:
         report["decay_fit"] = {"error": str(e)}
-    lo, hi = diagnostics.sandwich_margins(result.records, config.params,
-                                          config.gains)
-    max_inc, tol, monotone = _energy_monotone(result.records)
+    if len(result.records):
+        lo, hi = diagnostics.sandwich_margins(result.records, config.params,
+                                              config.gains)
+        max_inc, tol, monotone = _energy_monotone(result.records)
+    else:   # nothing was checked
+        lo = hi = max_inc = tol = monotone = None
     report["invariants"] = {
         "sandwich_violation_low": lo,
         "sandwich_violation_high": hi,
@@ -589,10 +592,17 @@ def cmd_verify(doc: dict, out: str) -> int:
                 e = apriori[key]
                 add(key, e["lhs"], e["rhs"], e["pass"])
 
-        lo, hi = diagnostics.sandwich_margins(result.records, params, gains)
-        add("sandwich", max(lo, hi), 0.0, lo <= 0.0 and hi <= 0.0)
-        add("energy_monotone", *_energy_monotone(result.records),
-            note="linear run; E must be nonincreasing")
+        if len(result.records):
+            lo, hi = diagnostics.sandwich_margins(result.records, params,
+                                                  gains)
+            add("sandwich", max(lo, hi), 0.0, lo <= 0.0 and hi <= 0.0)
+            add("energy_monotone", *_energy_monotone(result.records),
+                note=f"{'linear' if config.linear_only else 'nonlinear'} "
+                     "run; E must be nonincreasing")
+        else:
+            for name in ("sandwich", "energy_monotone"):
+                add(name, None, None, None, note="skipped (no records: "
+                    "numerics.record_every = 0)")
 
         obs_cfg = replace(config, T_end=window)
         c_obs, ratios = diagnostics.estimate_observability(

@@ -1,11 +1,7 @@
-"""Energy functionals, decay fits, inequality checks, and the spectral test.
+"""Decay fits, inequality checks, random data, observability, spectral test.
 
-The energy records of a run are built after its time loop, in one
-vectorised pass (`build_records`) from one object, the run's series: t,
-||u||^2 and the five history functionals, which `memory.trace_series`
-evaluates along the history buffer's trace.  The loop keeps only the values
-that need the state at a record step (`state_scalars`).  Everything else
-operates on finished runs or drives fresh runs of the linear system;
+The functions read finished runs (their `solver.RECORD` records or their
+series) or drive fresh runs of the linear system through `solver.run`;
 nothing mutates solver state.
 """
 
@@ -13,70 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
-from . import model
-from .discretization import Grid, build_operator, weighted_mass
+from .discretization import Grid, build_operator
 from .model import PhysicalParams
 from .rng import Lcg64
-
-
-# one energy record: the columns of series.csv, in their order
-RECORD = np.dtype([(name, np.float64) for name in
-                   ("t", "E", "E1", "E2", "xi", "w0", "F", "qform", "l2",
-                    "h2seminorm")])
-
-
-def state_scalars(u: np.ndarray, w0: float, op) -> tuple:
-    """(E1, w0, ||u_xx||^2) of one state: the record values that need u.
-    `w0` is u_xx(t, 0) of u, the trace the state carries (`Stepper.w0`)."""
-    grid = op.grid
-    E1 = weighted_mass(u, grid)
-    # ||u_xx||^2 by centered differences; boundary values from the traces
-    h = grid.h
-    uext = np.concatenate(([0.0], u, [0.0]))
-    uxx = (uext[:-2] - 2.0 * uext[1:-1] + uext[2:]) / h ** 2
-    uxxL = op.trace_uxxL(u)
-    with np.errstate(over="ignore"):    # numpy's ** gives inf, Python's raises
-        h2 = h * (0.5 * np.float64(w0) ** 2 + (uxx ** 2).sum()
-                  + 0.5 * np.float64(uxxL) ** 2)
-    return E1, w0, float(h2)
-
-
-def energy(l2, z_plain, gains):
-    """E = ||u||^2 + |beta| z_plain, elementwise."""
-    return l2 + abs(gains.beta) * z_plain
-
-
-def build_records(config, series, steps: Sequence[int],
-                  scalars: Sequence[tuple]) -> np.recarray:
-    """The energy records at the time steps `steps` of a run, one `RECORD`
-    row each: `records.E` is a column, `records[k].E` one value.
-
-    `series` holds the run's per-step t, ||u||^2 and history functionals;
-    `scalars` holds the `state_scalars` of each record's state.
-    w0 comes from the state, not from the series: at step 0 the series
-    holds the history sample z0(0), which need not equal u0''(0).
-    """
-    gains = config.gains
-    i = np.asarray(steps, dtype=int)
-    E1, w0, h2 = np.array(scalars, dtype=float).reshape(-1, 3).T
-    l2, mem = series.l2[i], series.memory[i]
-    P = model.assemble_P(gains, config.kernel)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E = energy(l2, series.z_plain[i], gains)
-        E2 = abs(gains.beta) * series.z_exp[i]
-        xi = E + gains.mu1 * E1 + gains.mu2 * E2
-        F = gains.alpha * w0 + gains.beta * mem
-        # <PV,V>, V = (w0, mem), is an upper bound of dE/dt, not equal to
-        # it: dE/dt = <PV,V> - D with the Cauchy-Schwarz defect
-        # D = |beta| (int lam z1^2 - mem^2 / int lam)
-        qform = ((w0 * P[0, 0] + mem * P[1, 0]) * w0
-                 + (w0 * P[0, 1] + mem * P[1, 1]) * mem)
-    return np.rec.fromarrays((series.t[i], E, E1, E2, xi, w0, F, qform, l2,
-                              h2), dtype=RECORD)
+from .solver import run
 
 
 @dataclass(frozen=True)
@@ -226,8 +165,6 @@ def estimate_observability(config, n_samples: int = 20, seed: int = 0):
     backward-Euler startup, so the discrete boundary output faithfully tracks
     the continuum one.
     """
-    from . import solver
-
     if not config.linear_only:
         config = replace(config, linear_only=True)
     if config.T_end < config.kernel.tau2:
@@ -236,8 +173,8 @@ def estimate_observability(config, n_samples: int = 20, seed: int = 0):
     for k in range(n_samples):
         u0, z0 = random_compatible_data(seed + k, config.params.L,
                                         config.gains, config.kernel)
-        res = solver.run(replace(config, u0=u0, z0=z0, record_every=0,
-                                 startup_steps=0))
+        res = run(replace(config, u0=u0, z0=z0, record_every=0,
+                          startup_steps=0))
         s = res.series
         out = float(np.trapezoid(s.w ** 2 + s.slam_sq, s.t))
         ratios.append(out / res.h_norm0_sq)
@@ -269,13 +206,6 @@ def spectral_residuals(L: float, N: int, n_pairs: int = 50):
         norm = math.sqrt(h) * np.linalg.norm(v)
         res.append(abs(complex(op.trace0_vec @ v)) / norm)
     return np.array(res)
-
-
-def spectral_lemma_test(L_values: Sequence[float], N: int,
-                        n_pairs: int = 50) -> dict:
-    """Minimal sixth-condition residual per L (Lemma setting: a = b = 1)."""
-    return {L: float(spectral_residuals(L, N, n_pairs).min())
-            for L in L_values}
 
 
 def spectral_threshold(L: float, Ns=(200, 400), n_pairs: int = 50) -> float:

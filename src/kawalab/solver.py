@@ -38,7 +38,7 @@ buffer in it is the run's one store of the boundary trace and its one clock.
 The time loop stores t and ||u||^2 per step, and at a record step the few
 record values that need the state; the history functionals are computed
 from the buffer's trace after the run (`memory.trace_series`), and
-the energy records from the series (`diagnostics.build_records`).
+the energy records from the series (`build_records`).
 
 The nonlinearity uses the split u^p u_x ~ (D1(g) + |u|^p (D1 u)) / (p+2)
 with g = |u|^p u, which is consistent for all p in [1, 2] and makes
@@ -54,13 +54,14 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .discretization import BANDWIDTH, Grid, SpatialOperator, build_operator
+from .discretization import (BANDWIDTH, Grid, SpatialOperator, build_operator,
+                             weighted_mass)
 from .memory import HistoryBuffer, TraceWeights, feedback_block, trace_series
-from .model import FeedbackGains, MemoryKernel, PhysicalParams
+from .model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
 
 
 def _lapack():
@@ -85,8 +86,7 @@ def _lapack():
             spec.loader.exec_module(module)
             sys.modules[name] = module
             return module
-    from scipy.linalg import lapack   # an unusual scipy layout
-    return lapack
+    return importlib.import_module("scipy.linalg.lapack")  # an unusual layout
 
 
 _flapack = _lapack()
@@ -96,8 +96,8 @@ dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 class SolverAbort(RuntimeError):
     """A run that cannot go on.  `run` fills in the time and the value of
     the last finite ||u||^2 before the abort (None if there is none), and
-    the energy `diagnostics.energy` at that step (None if it is not
-    finite); a blow-up overflows ||u||^2 some steps before the state itself."""
+    the `energy` at that step (None if it is not finite); a blow-up
+    overflows ||u||^2 some steps before the state itself."""
 
     def __init__(self, message, step_index, t):
         super().__init__(f"{message} at step {step_index}, t = {t:.6g}")
@@ -455,18 +455,74 @@ class TimeSeries:
 
 @dataclass
 class RunResult:
-    records: np.recarray   # one `diagnostics.RECORD` row per record step
+    records: np.recarray   # one `RECORD` row per record step
     u: np.ndarray          # the profile at the last step
     series: TimeSeries
     h_norm0_sq: float
     mms_error: Optional[float] = None
 
 
+# one energy record: the columns of series.csv, in their order
+RECORD = np.dtype([(name, np.float64) for name in
+                   ("t", "E", "E1", "E2", "xi", "w0", "F", "qform", "l2",
+                    "h2seminorm")])
+
+
+def state_scalars(u: np.ndarray, w0: float, op) -> tuple:
+    """(E1, w0, ||u_xx||^2) of one state: the record values that need u.
+    `w0` is u_xx(t, 0) of u, the trace the state carries (`Stepper.w0`)."""
+    grid = op.grid
+    E1 = weighted_mass(u, grid)
+    # ||u_xx||^2 by centered differences; boundary values from the traces
+    h = grid.h
+    uext = np.concatenate(([0.0], u, [0.0]))
+    uxx = (uext[:-2] - 2.0 * uext[1:-1] + uext[2:]) / h ** 2
+    uxxL = op.trace_uxxL(u)
+    with np.errstate(over="ignore"):    # numpy's ** gives inf, Python's raises
+        h2 = h * (0.5 * np.float64(w0) ** 2 + (uxx ** 2).sum()
+                  + 0.5 * np.float64(uxxL) ** 2)
+    return E1, w0, float(h2)
+
+
+def energy(l2, z_plain, gains):
+    """E = ||u||^2 + |beta| z_plain, elementwise."""
+    return l2 + abs(gains.beta) * z_plain
+
+
+def build_records(config, series, steps: Sequence[int],
+                  scalars: Sequence[tuple]) -> np.recarray:
+    """The energy records at the time steps `steps` of a run, one `RECORD`
+    row each: `records.E` is a column, `records[k].E` one value.
+
+    `series` holds the run's per-step t, ||u||^2 and history functionals;
+    `scalars` holds the `state_scalars` of each record's state.
+    w0 comes from the state, not from the series: at step 0 the series
+    holds the history sample z0(0), which need not equal u0''(0).
+    """
+    gains = config.gains
+    i = np.asarray(steps, dtype=int)
+    E1, w0, h2 = np.array(scalars, dtype=float).reshape(-1, 3).T
+    l2, mem = series.l2[i], series.memory[i]
+    P = assemble_P(gains, config.kernel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = energy(l2, series.z_plain[i], gains)
+        E2 = abs(gains.beta) * series.z_exp[i]
+        xi = E + gains.mu1 * E1 + gains.mu2 * E2
+        F = gains.alpha * w0 + gains.beta * mem
+        # <PV,V>, V = (w0, mem), is an upper bound of dE/dt, not equal to
+        # it: dE/dt = <PV,V> - D with the Cauchy-Schwarz defect
+        # D = |beta| (int lam z1^2 - mem^2 / int lam)
+        qform = ((w0 * P[0, 0] + mem * P[1, 0]) * w0
+                 + (w0 * P[0, 1] + mem * P[1, 1]) * mem)
+    return np.rec.fromarrays((series.t[i], E, E1, E2, xi, w0, F, qform, l2,
+                              h2), dtype=RECORD)
+
+
 def run(config: SimConfig) -> RunResult:
     """Advance to T_end, recording diagnostics every record_every steps.
 
     The loop stores t and ||u||^2 of every step, and the
-    `diagnostics.state_scalars` of every record step, from the Stepper's u
+    `state_scalars` of every record step, from the Stepper's u
     and its carried trace w0; the history buffer keeps the trace w.  The
     history functionals of the series and the records come from those after
     the loop.  Deterministic: identical configs produce bitwise-identical
@@ -477,8 +533,6 @@ def run(config: SimConfig) -> RunResult:
     before the state itself turns non-finite, which the step's finiteness
     check makes a SolverAbort.
     """
-    from . import diagnostics  # local import: diagnostics also drives runs
-
     st = Stepper(config)
     st.initial_state()
     buf = st.history
@@ -503,8 +557,7 @@ def run(config: SimConfig) -> RunResult:
                 if config.record_every > 0 and (
                         k % config.record_every == 0 or k == n_steps):
                     rec_steps.append(k)
-                    rec_scalars.append(diagnostics.state_scalars(
-                        st.u, st.w0, st.op))
+                    rec_scalars.append(state_scalars(st.u, st.w0, st.op))
         except SolverAbort as e:
             finite = np.flatnonzero(np.isfinite(l2[:k]))
             if finite.size:
@@ -512,15 +565,14 @@ def run(config: SimConfig) -> RunResult:
                 e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
                 # the failed step pushed nothing: the trace ends at t_{k-1}
                 tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
-                E = float(diagnostics.energy(l2[j], tv.z_plain[j],
-                                             config.gains))
+                E = float(energy(l2[j], tv.z_plain[j], config.gains))
                 e.last_finite_E = E if math.isfinite(E) else None
             raise
 
     tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
     series = TimeSeries(t=t, w=buf.trace[i0:], l2=l2, **tv._asdict())
-    records = diagnostics.build_records(config, series, rec_steps, rec_scalars)
-    h0 = diagnostics.energy(l2[0], series.z_plain[0], config.gains)
+    records = build_records(config, series, rec_steps, rec_scalars)
+    h0 = energy(l2[0], series.z_plain[0], config.gains)
     mms_err = None
     if st.mms_exact is not None:
         exact = st.mms_exact(st.grid.x, buf.t_now)

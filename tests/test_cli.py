@@ -522,7 +522,10 @@ def test_run_without_records(tmp_path):
     report = _strict_json((tmp_path / "out" / "report.json").read_text())
     assert report["n_records"] == 0
     assert report["E_final"] is None
-    assert report["invariants"]["energy_monotone"] is True
+    # no invariant was checked, so none is reported as holding
+    assert report["invariants"] == dict.fromkeys(
+        ("sandwich_violation_low", "sandwich_violation_high",
+         "max_energy_increment", "energy_monotone_tol", "energy_monotone"))
 
 
 def test_mms_run_starts_from_the_manufactured_solution(tmp_path):
@@ -1052,6 +1055,53 @@ def test_verify_nonlinear_reports_apriori_skipped(tmp_path):
     notes = [c.get("note", "") for c in report["checks"]
              if c["check_name"] == "apriori"]
     assert notes and "skipped (nonlinear" in notes[0]
+
+
+def _verify_checks(tmp_path, monkeypatch, **numerics):
+    """verify's exit code and its checks by name, for a config with these
+    `numerics`; the observability samples and the eigensolves, which the
+    record checks do not read, are stand-ins."""
+    monkeypatch.setattr(cli.diagnostics, "estimate_observability",
+                        lambda config, n_samples, seed: (1.0, [1.0]))
+    monkeypatch.setattr(cli.diagnostics, "spectral_threshold",
+                        lambda L, Ns: 0.1)
+    monkeypatch.setattr(cli.diagnostics, "spectral_residuals",
+                        lambda L, N: np.array([1.0]))
+    doc = doc_with(numerics=dict(T_end=2.0, **numerics))
+    rc = main(["verify", "--config", write_doc(tmp_path, doc),
+               "--out", str(tmp_path)])
+    report = _strict_json((tmp_path / "report.json").read_text())
+    return rc, {c["check_name"]: c for c in report["checks"]}
+
+
+@pytest.mark.parametrize("linear_only, kind", [(True, "linear"),
+                                               (False, "nonlinear")])
+def test_verify_energy_monotone_note_names_the_run(tmp_path, monkeypatch,
+                                                   linear_only, kind):
+    rc, checks = _verify_checks(tmp_path, monkeypatch,
+                                linear_only=linear_only)
+    assert rc == 0
+    assert checks["energy_monotone"]["pass"] is True
+    assert (checks["energy_monotone"]["note"]
+            == f"{kind} run; E must be nonincreasing")
+
+
+def test_verify_without_records_skips_the_record_checks(tmp_path,
+                                                        monkeypatch, capsys):
+    """With no records, sandwich and energy_monotone are not made: each is
+    reported with pass null and a note that says why, not as passed."""
+    rc, checks = _verify_checks(tmp_path, monkeypatch, linear_only=True,
+                                record_every=0)
+    assert rc == 0
+    for name in ("sandwich", "energy_monotone"):
+        assert checks[name] == {
+            "check_name": name, "lhs": None, "rhs": None, "margin": None,
+            "pass": None,
+            "note": "skipped (no records: numerics.record_every = 0)"}
+    assert checks["est3"]["pass"] is True
+    out = capsys.readouterr().out
+    assert re.search(r"^\[INFO\] sandwich ", out, re.M)
+    assert re.search(r"^\[INFO\] energy_monotone ", out, re.M)
 
 
 def test_verify_reports_an_unstabilised_spectrum(tmp_path, monkeypatch):
