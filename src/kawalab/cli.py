@@ -393,6 +393,15 @@ def _energy_monotone(records) -> tuple:
     return float(inc.max()), tol, bool(inc.max() <= tol)
 
 
+def _invariants(records, config: SimConfig) -> tuple:
+    """(low and high sandwich violations, then _energy_monotone) of a run's
+    records; all None when there are none, for nothing was checked."""
+    if not len(records):
+        return (None,) * 5
+    return (diagnostics.sandwich_margins(records, config.params, config.gains)
+            + _energy_monotone(records))
+
+
 def _run_report(result, config: SimConfig, cert: Certificate) -> dict:
     report = {"certificate": cert.to_dict(),
               "n_records": len(result.records),
@@ -405,19 +414,10 @@ def _run_report(result, config: SimConfig, cert: Certificate) -> dict:
                                "r2": fit.r2, "kappa_hat": fit.kappa_hat}
     except ValueError as e:
         report["decay_fit"] = {"error": str(e)}
-    if len(result.records):
-        lo, hi = diagnostics.sandwich_margins(result.records, config.params,
-                                              config.gains)
-        max_inc, tol, monotone = _energy_monotone(result.records)
-    else:   # nothing was checked
-        lo = hi = max_inc = tol = monotone = None
-    report["invariants"] = {
-        "sandwich_violation_low": lo,
-        "sandwich_violation_high": hi,
-        "max_energy_increment": max_inc,
-        "energy_monotone_tol": tol,
-        "energy_monotone": monotone,
-    }
+    report["invariants"] = dict(zip(
+        ("sandwich_violation_low", "sandwich_violation_high",
+         "max_energy_increment", "energy_monotone_tol", "energy_monotone"),
+        _invariants(result.records, config)))
     if result.mms_error is not None:
         report["mms_error"] = result.mms_error
     return report
@@ -592,17 +592,16 @@ def cmd_verify(doc: dict, out: str) -> int:
                 e = apriori[key]
                 add(key, e["lhs"], e["rhs"], e["pass"])
 
-        if len(result.records):
-            lo, hi = diagnostics.sandwich_margins(result.records, params,
-                                                  gains)
-            add("sandwich", max(lo, hi), 0.0, lo <= 0.0 and hi <= 0.0)
-            add("energy_monotone", *_energy_monotone(result.records),
-                note=f"{'linear' if config.linear_only else 'nonlinear'} "
-                     "run; E must be nonincreasing")
-        else:
+        lo, hi, max_inc, tol, monotone = _invariants(result.records, config)
+        if lo is None:
             for name in ("sandwich", "energy_monotone"):
                 add(name, None, None, None, note="skipped (no records: "
                     "numerics.record_every = 0)")
+        else:
+            add("sandwich", max(lo, hi), 0.0, lo <= 0.0 and hi <= 0.0)
+            add("energy_monotone", max_inc, tol, monotone,
+                note=f"{'linear' if config.linear_only else 'nonlinear'} "
+                     "run; E must be nonincreasing")
 
         obs_cfg = replace(config, T_end=window)
         c_obs, ratios = diagnostics.estimate_observability(
