@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .model import (Certificate, ConditionError, FeedbackGains, MemoryKernel,
+from .model import (ConditionError, FeedbackGains, MemoryKernel,
                     PhysicalParams, build_certificate, r_max)
 from .solver import MAX_N, RECORD, SimConfig, SolverAbort, _build_mms, run
 
@@ -376,53 +376,6 @@ def cmd_check(doc: dict, out: str) -> int:
     return 0
 
 
-def _decay_fit(result, config: SimConfig) -> diagnostics.DecayFit:
-    """The run's decay fit, over (T_end/6, T_end): the initial transient is
-    left out.  Raises ValueError when the window has too few records."""
-    return diagnostics.fit_decay(result.records,
-                                 (config.T_end / 6.0, config.T_end))
-
-
-def _energy_monotone(records) -> tuple:
-    """(largest energy increment between records, its tolerance 1e-10 E(0),
-    whether every increment stays within it), of one or more records."""
-    inc = np.diff(records.E)
-    tol = 1e-10 * float(records.E[0])
-    if not inc.size:
-        return 0.0, tol, True
-    return float(inc.max()), tol, bool(inc.max() <= tol)
-
-
-def _invariants(records, config: SimConfig) -> tuple:
-    """(low and high sandwich violations, then _energy_monotone) of a run's
-    records; all None when there are none, for nothing was checked."""
-    if not len(records):
-        return (None,) * 5
-    return (diagnostics.sandwich_margins(records, config.params, config.gains)
-            + _energy_monotone(records))
-
-
-def _run_report(result, config: SimConfig, cert: Certificate) -> dict:
-    report = {"certificate": cert.to_dict(),
-              "n_records": len(result.records),
-              "h_norm0_sq": result.h_norm0_sq,
-              "E_final": (float(result.records.E[-1]) if len(result.records)
-                          else None)}
-    try:
-        fit = _decay_fit(result, config)
-        report["decay_fit"] = {"t_window": list(fit.t_window), "rate": fit.rate,
-                               "r2": fit.r2, "kappa_hat": fit.kappa_hat}
-    except ValueError as e:
-        report["decay_fit"] = {"error": str(e)}
-    report["invariants"] = dict(zip(
-        ("sandwich_violation_low", "sandwich_violation_high",
-         "max_energy_increment", "energy_monotone_tol", "energy_monotone"),
-        _invariants(result.records, config)))
-    if result.mms_error is not None:
-        report["mms_error"] = result.mms_error
-    return report
-
-
 def cmd_run(doc: dict, out: str) -> int:
     config = build_sim_config(doc)
     cert = build_certificate(config.params, config.gains, config.kernel)
@@ -442,7 +395,8 @@ def cmd_run(doc: dict, out: str) -> int:
     _ensure_out(out)
     write_series_csv(os.path.join(out, "series.csv"), result.records)
     _write_json(os.path.join(out, "report.json"),
-                _run_report(result, config, cert))
+                {"certificate": cert.to_dict(),
+                 **diagnostics.summary(result, config)})
     return 0
 
 
@@ -482,15 +436,12 @@ def _sweep_worker(args) -> dict:
         row["certified"] = str(cert.ok).lower()
         row["failures"] = ";".join(cert.failures)
         config = build_sim_config(sub)
-        result = run(config)
-        try:
-            fit = _decay_fit(result, config)
-            row["rate"] = repr(fit.rate)
-            row["r2"] = repr(fit.r2)
-        except ValueError:
-            pass
-        if result.mms_error is not None:
-            row["mms_error"] = repr(result.mms_error)
+        summary = diagnostics.summary(run(config), config)
+        fit = summary["decay_fit"]
+        if "rate" in fit:
+            row["rate"], row["r2"] = repr(fit["rate"]), repr(fit["r2"])
+        if "mms_error" in summary:
+            row["mms_error"] = repr(summary["mms_error"])
     except (SolverAbort, ValueError) as e:
         row["status"] = "aborted"
         row["failures"] = str(e)
@@ -537,9 +488,8 @@ def cmd_verify(doc: dict, out: str) -> int:
     if "mms_amplitude" in doc:  # verify checks the unforced system
         raise UnusedFieldError("field(s) not read by verify: 'mms_amplitude'")
     config = build_sim_config(doc)
-    params, gains, kernel = config.params, config.gains, config.kernel
     # the observability samples run over this window, whatever T_end is
-    window = max(5.0, kernel.tau2)
+    window = max(5.0, config.kernel.tau2)
     if window / config.dt > MAX_SAMPLES:
         raise ConfigError(
             f"field 'numerics.dt' must be at least the verify window "
@@ -549,77 +499,30 @@ def cmd_verify(doc: dict, out: str) -> int:
     # report.json stays deterministic
     stamps = [time.perf_counter()]
 
-    def add(name, lhs, rhs, ok, note=""):
-        entry = {"check_name": name, "lhs": lhs, "rhs": rhs,
-                 "margin": (rhs - lhs) if (ok is not None and lhs is not None
-                                           and rhs is not None) else None,
-                 "pass": ok}
-        if note:
-            entry["note"] = note
-        checks.append(entry)
-        stamps.append(time.perf_counter())
+    def add(*entries):
+        checks.extend(entries)
+        stamps.extend(time.perf_counter() for _ in entries)
 
     # local import: the thread pool machinery loads only in this command
     from concurrent.futures import ThreadPoolExecutor
-
-    def spectral_check():
-        thresh = diagnostics.spectral_threshold(params.L, Ns=(200, 400))
-        resid = float(diagnostics.spectral_residuals(params.L, 300).min())
-        return resid, thresh
 
     # numpy's eig releases the GIL, so the dense eigensolves run on a second
     # CPU while this thread steps the time loops; leaving the block waits
     # for them, also when a check before theirs raises
     with ThreadPoolExecutor(max_workers=1) as pool:
-        spectral_future = pool.submit(spectral_check)
-        cert = build_certificate(params, gains, kernel)
-        add("certificate", None, None, cert.ok,
-            note=(";".join(cert.failures) if cert.failures
-                  else "all conditions hold"))
-
+        spectral_future = pool.submit(diagnostics.spectral_check, config.params.L)
+        cert = build_certificate(config.params, config.gains, config.kernel)
+        add(diagnostics.check("certificate", ok=cert.ok, note=(
+            ";".join(cert.failures) if cert.failures
+            else "all conditions hold")))
         result = run(config)
-
-        apriori = diagnostics.check_apriori_estimates(result, config)
-        if "skipped" in apriori:
-            add("apriori", None, None, None,
-                note=f"skipped ({apriori['skipped']})")
-        else:
-            add("est1_constant", apriori["est1"]["lhs"],
-                apriori["est1"]["rhs_norm_sq"], None,
-                note=f"C_hat = {apriori['est1']['C_hat']} "
-                     "(reported, not asserted)")
-            for key in ("est3", "est4"):
-                e = apriori[key]
-                add(key, e["lhs"], e["rhs"], e["pass"])
-
-        lo, hi, max_inc, tol, monotone = _invariants(result.records, config)
-        if lo is None:
-            for name in ("sandwich", "energy_monotone"):
-                add(name, None, None, None, note="skipped (no records: "
-                    "numerics.record_every = 0)")
-        else:
-            add("sandwich", max(lo, hi), 0.0, lo <= 0.0 and hi <= 0.0)
-            add("energy_monotone", max_inc, tol, monotone,
-                note=f"{'linear' if config.linear_only else 'nonlinear'} "
-                     "run; E must be nonincreasing")
-
-        obs_cfg = replace(config, T_end=window)
-        c_obs, ratios = diagnostics.estimate_observability(
-            obs_cfg, n_samples=20, seed=_read(doc, ("seed",))["seed"])
-        add("observability_c_obs", 0.0, c_obs, c_obs > 0.0,
-            note="evidence only, not a proof; C = 1/c_obs")
-
-        try:
-            resid, thresh = spectral_future.result()
-            spectral = {"L": params.L, "min_residual": resid,
-                        "threshold": thresh}
-            spec_ok = resid > thresh
-        except ValueError as e:
-            spectral = {"L": params.L, "error": str(e)}
-            spec_ok = False
-        add("spectral_lemma", spectral.get("threshold"),
-            spectral.get("min_residual"), spec_ok,
-            note="a = b = 1 as in the lemma; residual of the sixth condition")
+        add(*diagnostics.apriori_checks(result, config))
+        add(*diagnostics.record_checks(result, config))
+        entry, ratios = diagnostics.observability_check(
+            replace(config, T_end=window), _read(doc, ("seed",))["seed"])
+        add(entry)
+        entry, spectral = spectral_future.result()
+        add(entry)
 
     all_ok = all(c["pass"] for c in checks if c["pass"] is not None)
     report = {"checks": checks, "observability_ratios": ratios,

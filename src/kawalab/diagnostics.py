@@ -2,13 +2,15 @@
 
 The functions read finished runs (their `solver.RECORD` records or their
 series) or drive fresh runs of the linear system through `solver.run`;
-nothing mutates solver state.
+nothing mutates solver state.  `summary` is `kaw run`'s report, and
+`check` makes every entry of `kaw verify`'s: the `*_check(s)` functions
+return them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,26 +47,70 @@ def fit_decay(records: np.recarray, window: tuple) -> DecayFit:
                     r2=max(0.0, min(1.0, r2)), kappa_hat=float(kappa))
 
 
-def sandwich_margins(records: np.recarray, params, gains):
-    """Violations of E <= xi <= (1 + max{L mu1, mu2}) E, slack 1e-12 (1 + E).
-    A NaN violation counts as none."""
+def summary(result, config) -> dict:
+    """`kaw run`'s report.json without its certificate: the record count,
+    ||(u0, z0)||_H^2, the last E, the decay fit over (T_end/6, T_end), which
+    leaves out the initial transient (or the fit's error), the invariants,
+    and the MMS error of a manufactured run."""
+    records = result.records
+    report = {"n_records": len(records), "h_norm0_sq": result.h_norm0_sq,
+              "E_final": float(records.E[-1]) if len(records) else None,
+              "invariants": invariants(records, config)}
+    try:
+        fit = fit_decay(records, (config.T_end / 6.0, config.T_end))
+        report["decay_fit"] = asdict(fit)
+    except ValueError as e:
+        report["decay_fit"] = {"error": str(e)}
+    if result.mms_error is not None:
+        report["mms_error"] = result.mms_error
+    return report
+
+
+def invariants(records: np.recarray, config) -> dict:
+    """The low and high violations of E <= xi <= (1 + max{L mu1, mu2}) E,
+    slack 1e-12 (1 + E), a NaN violation counting as none; the largest
+    energy increment between records, its tolerance 1e-10 E(0), and whether
+    every increment stays within it.  All None when there are no records,
+    for nothing was checked."""
+    names = ("sandwich_violation_low", "sandwich_violation_high",
+             "max_energy_increment", "energy_monotone_tol", "energy_monotone")
+    if not len(records):
+        return dict.fromkeys(names)
+    params, gains = config.params, config.gains
     top = 1.0 + max(params.L * gains.mu1, gains.mu2)
     E, xi = records.E, records.xi
     with np.errstate(over="ignore", invalid="ignore"):
         slack = 1e-12 * (1.0 + E)
         low, high = E - xi - slack, xi - top * E - slack
-    return tuple(float(np.fmax.reduce(v, initial=0.0)) for v in (low, high))
+    inc = np.diff(E)
+    tol = 1e-10 * float(E[0])
+    worst = float(inc.max()) if inc.size else 0.0
+    return dict(zip(names, (float(np.fmax.reduce(low, initial=0.0)),
+                            float(np.fmax.reduce(high, initial=0.0)),
+                            worst, tol, not inc.size or worst <= tol)))
 
 
-def check_apriori_estimates(result, config) -> dict:
-    """Discrete evaluation of (est1), (est3), (est4) on a linear trajectory.
+def check(name: str, lhs=None, rhs=None, ok=None, note: str = "") -> dict:
+    """One entry of `kaw verify`'s checks.  `ok` None: the check was not
+    made, or is reported and not asserted; the margin rhs - lhs is given
+    only for a made check with both sides."""
+    made = ok is not None and lhs is not None and rhs is not None
+    entry = {"check_name": name, "lhs": lhs, "rhs": rhs,
+             "margin": rhs - lhs if made else None, "pass": ok}
+    return dict(entry, note=note) if note else entry
+
+
+def apriori_checks(result, config) -> list:
+    """Discrete evaluation of (est1), (est3), (est4) on a linear trajectory,
+    as verify entries; one skipped entry for a nonlinear run.
 
     (est3), (est4) carry no free constant and are asserted with 5% slack;
-    (est1)'s constant is reported, not asserted.  (est3) is checked in the
-    s*lam(s)-weighted form that the transport identity actually yields.
+    (est1)'s constant C_hat is reported, not asserted: it is lhs / rhs of
+    the est1_constant entry, which its note repeats.  (est3) is checked in
+    the s*lam(s)-weighted form that the transport identity actually yields.
     """
     if not config.linear_only:
-        return {"skipped": "nonlinear run"}
+        return [check("apriori", note="skipped (nonlinear run)")]
     s = result.series
     T = float(s.t[-1])
     int_w2 = float(np.trapezoid(s.w ** 2, s.t))
@@ -75,23 +121,30 @@ def check_apriori_estimates(result, config) -> dict:
     est1_lhs = int_w2 + int_slam_z1
     est1_rhs = result.h_norm0_sq
     C_hat = est1_lhs / est1_rhs if est1_rhs > 0 else float("nan")
+    checks = [check("est1_constant", est1_lhs, est1_rhs,
+                    note=f"C_hat = {C_hat} (reported, not asserted)")]
+    for name, lhs, rhs in (
+            ("est3", float(s.z_plain[0]), float(s.z_plain[-1]) + int_lam_z1),
+            ("est4", T * float(s.l2[0]), int_l2 + T * int_w2)):
+        ok = lhs <= rhs * 1.05 + 1e-14
+        checks.append(check(name, lhs, rhs, ok))
+    return checks
 
-    est3_lhs = float(s.z_plain[0])
-    est3_rhs = float(s.z_plain[-1]) + int_lam_z1
 
-    est4_lhs = T * float(s.l2[0])
-    est4_rhs = int_l2 + T * int_w2
-
-    def entry(lhs, rhs, asserted):
-        ok = lhs <= rhs * 1.05 + 1e-14 if asserted else None
-        return {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs if rhs > 0 else float("inf"),
-                "pass": ok}
-
-    return {
-        "est1": {"lhs": est1_lhs, "rhs_norm_sq": est1_rhs, "C_hat": C_hat},
-        "est3": entry(est3_lhs, est3_rhs, True),
-        "est4": entry(est4_lhs, est4_rhs, True),
-    }
+def record_checks(result, config) -> list:
+    """verify's sandwich and energy_monotone entries, from `invariants`;
+    both skipped for a run without records."""
+    inv = invariants(result.records, config)
+    if inv["energy_monotone"] is None:
+        return [check(name, note="skipped (no records: "
+                      "numerics.record_every = 0)")
+                for name in ("sandwich", "energy_monotone")]
+    lo, hi = inv["sandwich_violation_low"], inv["sandwich_violation_high"]
+    kind = "linear" if config.linear_only else "nonlinear"
+    return [check("sandwich", max(lo, hi), 0.0, lo <= 0.0 and hi <= 0.0),
+            check("energy_monotone", inv["max_energy_increment"],
+                  inv["energy_monotone_tol"], inv["energy_monotone"],
+                  note=f"{kind} run; E must be nonincreasing")]
 
 
 def random_initial_data(seed: int, L: float):
@@ -165,8 +218,6 @@ def estimate_observability(config, n_samples: int = 20, seed: int = 0):
     backward-Euler startup, so the discrete boundary output faithfully tracks
     the continuum one.
     """
-    if not config.linear_only:
-        config = replace(config, linear_only=True)
     if config.T_end < config.kernel.tau2:
         raise ValueError("observability window must satisfy T >= tau2")
     ratios = []
@@ -174,11 +225,19 @@ def estimate_observability(config, n_samples: int = 20, seed: int = 0):
         u0, z0 = random_compatible_data(seed + k, config.params.L,
                                         config.gains, config.kernel)
         res = run(replace(config, u0=u0, z0=z0, record_every=0,
-                          startup_steps=0))
+                          startup_steps=0, linear_only=True))
         s = res.series
         out = float(np.trapezoid(s.w ** 2 + s.slam_sq, s.t))
         ratios.append(out / res.h_norm0_sq)
     return min(ratios), ratios
+
+
+def observability_check(config, seed: int) -> tuple:
+    """verify's observability_c_obs entry, from 20 samples seeded from
+    `seed` over T_end of `config`, and the 20 ratios."""
+    c_obs, ratios = estimate_observability(config, n_samples=20, seed=seed)
+    return check("observability_c_obs", 0.0, c_obs, c_obs > 0.0,
+                 note="evidence only, not a proof; C = 1/c_obs"), ratios
 
 
 def spectral_residuals(L: float, N: int, n_pairs: int = 50):
@@ -219,3 +278,19 @@ def spectral_threshold(L: float, Ns=(200, 400), n_pairs: int = 50) -> float:
     if hi > 0 and (hi - lo) / hi > 0.5:
         raise ValueError(f"spectral residual not stabilized at L = {L}: {r}")
     return 0.1 * lo
+
+
+def spectral_check(L: float) -> tuple:
+    """verify's spectral_lemma entry and report.json's `spectral`: the
+    smallest residual at N = 300 against `spectral_threshold` from N = 200
+    and 400.  A threshold that has not stabilised fails the check, and
+    `spectral` then holds its error."""
+    note = "a = b = 1 as in the lemma; residual of the sixth condition"
+    try:
+        thresh = spectral_threshold(L, Ns=(200, 400))
+        resid = float(spectral_residuals(L, 300).min())
+    except ValueError as e:
+        return (check("spectral_lemma", ok=False, note=note),
+                {"L": L, "error": str(e)})
+    return (check("spectral_lemma", thresh, resid, resid > thresh, note=note),
+            {"L": L, "min_residual": resid, "threshold": thresh})

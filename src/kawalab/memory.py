@@ -273,6 +273,8 @@ class TraceWeights:
         ubar[1:] += h
         slots = np.concatenate(([self.K], self.K - ks_sig, [n_v - 1]))
         rows[3, slots] = ubar
+        # clipped, delta * sig stays finite: exp(-1e300) = 0 as exp(-inf)
+        delta = min(delta, 1e300 / max(1.0, sig[-1]))
         rows[4, slots] = ubar * np.exp(-delta * sig)
 
         self.linear = rows[0]        # memory

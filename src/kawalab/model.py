@@ -48,7 +48,7 @@ class MemoryKernel:
     tau2: float
     form: str = "constant"
     c: float = 1.0
-    sigma: float = 0.0
+    sigma: float = 1.0
     samples: tuple = ()  # ((s_0, lam_0), ...) for form='tabulated'
     lambda_integral: float = field(init=False, default=0.0)
 

@@ -161,9 +161,9 @@ def test_criterion_06_sandwich_inequality(linear_run, nonlinear_run):
     worst = 0.0
     n = 0
     for cfg, result in (linear_run, nonlinear_run):
-        lo, hi = diagnostics.sandwich_margins(result.records, cfg.params,
-                                              cfg.gains)
-        worst = max(worst, lo, hi)
+        inv = diagnostics.invariants(result.records, cfg)
+        worst = max(worst, inv["sandwich_violation_low"],
+                    inv["sandwich_violation_high"])
         n += len(result.records)
     ok = worst <= 0.0
     _report(6, "sandwich_inequality", ok,
@@ -236,10 +236,11 @@ def test_criterion_08_apriori_inequalities():
         u0, z0 = diagnostics.random_compatible_data(seed, base.params.L,
                                                     base.gains, base.kernel)
         cfg = replace(base, u0=u0, z0=z0)
-        rep = diagnostics.check_apriori_estimates(run(cfg), cfg)
-        assert rep["est3"]["pass"] is not None
-        worst3 = max(worst3, rep["est3"]["ratio"])
-        worst4 = max(worst4, rep["est4"]["ratio"])
+        checks = {c["check_name"]: c
+                  for c in diagnostics.apriori_checks(run(cfg), cfg)}
+        assert checks["est3"]["pass"] is not None
+        worst3 = max(worst3, checks["est3"]["lhs"] / checks["est3"]["rhs"])
+        worst4 = max(worst4, checks["est4"]["lhs"] / checks["est4"]["rhs"])
     ok = worst3 <= 1.05 and worst4 <= 1.05
     _report(8, "apriori_inequalities", ok,
             f"20 seeds, worst est3 ratio {worst3:.3f}, est4 ratio {worst4:.3f} "
@@ -262,8 +263,8 @@ def test_criterion_10_spectral_lemma():
     details = []
     ok = True
     for L in (1.0, 2.0, math.pi):
-        thr = diagnostics.spectral_threshold(L, Ns=(200, 400))
-        resid = float(diagnostics.spectral_residuals(L, 300).min())
+        spectral = diagnostics.spectral_check(L)[1]
+        thr, resid = spectral["threshold"], spectral["min_residual"]
         details.append(f"L={L:.3f}: resid {resid:.3e} > thr {thr:.3e}")
         ok = ok and resid > thr
     _report(10, "spectral_lemma", ok, "; ".join(details))

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from conftest import REFERENCE_DOC, reference_sim_config
 from kawalab import cli, solver
 from kawalab.cli import (ConfigError, build_model, build_sim_config,
                          load_config, main)
+from kawalab.model import FeedbackGains, MemoryKernel
 
 
 def write_doc(tmp_path, doc, name="cfg.json"):
@@ -357,6 +360,25 @@ def test_readme_lists_every_field():
     assert listed == [row.path for row in cli.FIELDS]
 
 
+def test_fields_defaults_are_the_library_defaults():
+    """A FIELDS default of a parameter that a library dataclass defaults too
+    is that default, so a config that leaves the field out and a library
+    call that leaves the argument out make the same run."""
+    owners = {"gains": FeedbackGains, "kernel": MemoryKernel,
+              "numerics": solver.SimConfig, "mms_amplitude": solver.SimConfig}
+    compared = set()
+    for row in cli.FIELDS:
+        owner = owners.get(row.path.split(".")[0])
+        if owner is None or row.default is cli.REQUIRED:
+            continue
+        name = row.path.rpartition(".")[2]
+        (field,) = (f for f in dataclasses.fields(owner) if f.name == name)
+        assert row.default == field.default, row.path
+        compared.add(name)
+    assert compared == {"delta", "form", "c", "sigma", "record_every",
+                        "linear_only", "startup_steps", "mms_amplitude"}
+
+
 def test_sim_config_rejects_non_finite():
     for field in ("T_end", "dt"):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -497,6 +519,23 @@ def test_run_outputs_and_byte_identical_csv(tmp_path, capsys):
     assert report["invariants"]["energy_monotone"] is True
 
 
+def test_run_with_a_huge_delta_warns_nothing(tmp_path, capsys):
+    """gains.delta = 1e308 makes exp(-delta sigma) underflow to 0 past
+    sigma = 0, the right weight; the run exits 0 and raises no warning: its
+    stderr holds only the failed certificate."""
+    config = os.path.join(REPO, "configs", "reference.json")
+    doc = load_config(config)
+    doc["gains"]["delta"] = 1e308
+    doc["numerics"]["T_end"] = 0.3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", write_doc(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == ("warning: failed certificates (run "
+                                       "proceeds): mu_guaranteed_positive\n")
+
+
 def test_run_zero_data_nothing_to_fit(tmp_path):
     doc = short_run_doc()
     doc["initial"] = {"u0": {"type": "zero"}, "z0": {"type": "zero"}}
@@ -585,12 +624,21 @@ def test_exit_1_names_every_field_moot_beside_mms_amplitude(tmp_path, capsys,
 def test_energy_monotone_sees_a_rise_of_2e_10():
     """An energy that rises by 2e-10 E(0) exceeds the tolerance 1e-10 E(0)."""
     E = np.array([1.0, 0.5, 0.5 + 2e-10])
-    records = np.rec.fromarrays([E], names="E")
-    worst, tol, ok = cli._energy_monotone(records)
+    records = np.rec.fromarrays([E, E], names="E, xi")
+    config = reference_sim_config()
+
+    def monotone(records):
+        inv = cli.diagnostics.invariants(records, config)
+        return tuple(inv[key] for key in ("max_energy_increment",
+                                          "energy_monotone_tol",
+                                          "energy_monotone"))
+
+    worst, tol, ok = monotone(records)
     assert worst == pytest.approx(2e-10, rel=1e-5)
     assert tol == 1e-10
     assert not ok
-    assert cli._energy_monotone(records[:2]) == (-0.5, 1e-10, True)
+    assert monotone(records[:2]) == (-0.5, 1e-10, True)
+    assert monotone(records[:1]) == (0.0, 1e-10, True)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,11 +1076,15 @@ def test_verify_reference_passes(tmp_path, capsys):
     assert threading.active_count() == threads
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["all_pass"] is True
-    assert report["spectral"] == {
-        "L": math.pi,
-        "min_residual": float(cli.diagnostics.spectral_residuals(math.pi, 300)
-                              .min()),
-        "threshold": cli.diagnostics.spectral_threshold(math.pi, (200, 400))}
+    assert report["spectral"] == cli.diagnostics.spectral_check(math.pi)[1]
+    # the grid of verify's spectral check: residual at N = 300, threshold
+    # calibrated from N = 200 and 400
+    diag = cli.diagnostics
+    assert report["spectral"]["min_residual"] == float(
+        diag.spectral_residuals(math.pi, 300).min())
+    assert report["spectral"]["threshold"] == diag.spectral_threshold(
+        math.pi, (200, 400))
+    assert set(report["spectral"]) == {"L", "min_residual", "threshold"}
     names = {c["check_name"] for c in report["checks"]}
     assert {"est3", "est4", "sandwich", "energy_monotone",
             "observability_c_obs", "spectral_lemma"} <= names
@@ -1042,6 +1094,16 @@ def test_verify_reference_passes(tmp_path, capsys):
             for ln in lines] == [c["check_name"] for c in report["checks"]]
     assert all(set(c) <= {"check_name", "lhs", "rhs", "margin", "pass", "note"}
                for c in report["checks"])
+    # a made check's margin is rhs - lhs, nonnegative when it passes
+    made = [c for c in report["checks"] if c["margin"] is not None]
+    assert [c["check_name"] for c in made] == [
+        "est3", "est4", "sandwich", "energy_monotone", "observability_c_obs",
+        "spectral_lemma"]
+    assert all(c["margin"] == c["rhs"] - c["lhs"] >= 0 for c in made)
+    # est1's constant is lhs / rhs, the number its note names
+    (est1,) = (c for c in report["checks"] if c["check_name"] == "est1_constant")
+    assert est1["note"] == (f"C_hat = {est1['lhs'] / est1['rhs']} "
+                            "(reported, not asserted)")
 
 
 def test_verify_nonlinear_reports_apriori_skipped(tmp_path):

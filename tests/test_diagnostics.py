@@ -15,9 +15,9 @@ import pytest
 from conftest import reference_sim_config
 from kawalab import diagnostics
 from kawalab.cli import write_series_csv
-from kawalab.diagnostics import (DecayFit, check_apriori_estimates,
+from kawalab.diagnostics import (DecayFit, apriori_checks, check,
                                  estimate_observability, fit_decay,
-                                 random_initial_data, sandwich_margins,
+                                 invariants, random_initial_data,
                                  spectral_residuals, spectral_threshold)
 from kawalab.solver import RECORD, run
 
@@ -77,10 +77,16 @@ def test_initial_record_oracles():
     assert rec.h2seminorm == pytest.approx(0.8 * pi ** 5, rel=1e-2)
 
 
+def _sandwich(records, cfg):
+    """The low and high sandwich violations of `invariants`."""
+    inv = invariants(records, cfg)
+    return inv["sandwich_violation_low"], inv["sandwich_violation_high"]
+
+
 def test_sandwich_margins_zero_on_valid_run():
     cfg = reference_sim_config(linear_only=True, T_end=5.0)
     result = run(cfg)
-    lo, hi = sandwich_margins(result.records, cfg.params, cfg.gains)
+    lo, hi = _sandwich(result.records, cfg)
     assert lo == 0.0 and hi == 0.0
 
 
@@ -92,14 +98,14 @@ def test_sandwich_margins_see_xi_above_the_top_bound():
     E = np.array([1.0, 2.0])
     slack = 1e-12 * (1.0 + E)
     over = _records(E=E, xi=top * E + 2.0 * slack)
-    lo, hi = sandwich_margins(over, cfg.params, cfg.gains)
+    lo, hi = _sandwich(over, cfg)
     assert lo == 0.0
     assert hi == pytest.approx(slack.max(), rel=1e-3)
     within = _records(E=E, xi=top * E + 0.5 * slack)
-    assert sandwich_margins(within, cfg.params, cfg.gains) == (0.0, 0.0)
+    assert _sandwich(within, cfg) == (0.0, 0.0)
     # a NaN violation counts as none
     nan = _records(E=np.array([np.nan, 1.0]), xi=np.array([1.0, 1.0]))
-    assert sandwich_margins(nan, cfg.params, cfg.gains) == (0.0, 0.0)
+    assert _sandwich(nan, cfg) == (0.0, 0.0)
 
 
 def test_write_series_csv(tmp_path):
@@ -127,8 +133,9 @@ def test_write_series_csv(tmp_path):
 def test_apriori_skipped_for_nonlinear():
     cfg = reference_sim_config(T_end=1.0)
     result = run(cfg)
-    report = check_apriori_estimates(result, cfg)
-    assert report == {"skipped": "nonlinear run"}
+    assert apriori_checks(result, cfg) == [{
+        "check_name": "apriori", "lhs": None, "rhs": None, "margin": None,
+        "pass": None, "note": "skipped (nonlinear run)"}]
 
 
 def test_apriori_estimates_hold_on_linear_run():
@@ -139,9 +146,15 @@ def test_apriori_estimates_hold_on_linear_run():
     from dataclasses import replace
     cfg = replace(cfg, u0=u0, z0=z0)
     result = run(cfg)
-    report = check_apriori_estimates(result, cfg)
-    assert report["est3"]["pass"] and report["est4"]["pass"]
-    assert report["est1"]["C_hat"] > 0.0
+    checks = {c["check_name"]: c for c in apriori_checks(result, cfg)}
+    assert checks["est3"]["pass"] and checks["est4"]["pass"]
+    est1 = checks["est1_constant"]
+    assert est1["pass"] is None and est1["margin"] is None
+    # C_hat is lhs / rhs: the note repeats the number, which a gate can read
+    # from the entry's numeric leaves
+    C_hat = est1["lhs"] / est1["rhs"]
+    assert C_hat > 0.0
+    assert est1["note"] == f"C_hat = {C_hat} (reported, not asserted)"
 
 
 @pytest.mark.parametrize("ratio, ok", [(1.06, False), (1.04, True)])
@@ -153,12 +166,26 @@ def test_apriori_slack_is_five_percent(ratio, ok):
     series = SimpleNamespace(t=np.array([0.0, 1.0]), w=zeros, lam_sq=zeros,
                              slam_sq=zeros, l2=np.ones(2),
                              z_plain=np.array([ratio, 1.0]))
-    report = check_apriori_estimates(
+    checks = {c["check_name"]: c for c in apriori_checks(
         SimpleNamespace(series=series, h_norm0_sq=1.0),
-        SimpleNamespace(linear_only=True))
-    assert report["est3"]["ratio"] == ratio
-    assert report["est3"]["pass"] is ok
-    assert report["est4"]["ratio"] == 1.0 and report["est4"]["pass"]
+        SimpleNamespace(linear_only=True))}
+    est3, est4 = checks["est3"], checks["est4"]
+    assert est3["lhs"] / est3["rhs"] == ratio
+    assert est3["pass"] is ok
+    assert est4["lhs"] / est4["rhs"] == 1.0 and est4["pass"]
+
+
+def test_check_margin_is_rhs_minus_lhs_of_a_made_check():
+    """A made check's margin is rhs - lhs; a check that was not made, or is
+    reported and not asserted, or lacks a side, has none; an empty note is
+    left out."""
+    assert check("made", 1.0, 3.0, False) == {
+        "check_name": "made", "lhs": 1.0, "rhs": 3.0, "margin": 2.0,
+        "pass": False}
+    assert check("reported", 1.0, 3.0, note="n") == {
+        "check_name": "reported", "lhs": 1.0, "rhs": 3.0, "margin": None,
+        "pass": None, "note": "n"}
+    assert check("one_side", rhs=3.0, ok=True)["margin"] is None
 
 
 def test_compatible_data_satisfies_constraints():
