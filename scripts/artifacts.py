@@ -104,6 +104,11 @@ CASES = (
     Case("run_no_records", ("run",), "reference.json",
          {"numerics.record_every": 0, "numerics.T_end": 2.0},
          ("report.json",)),
+    # a blow-up: the solver aborts at step 6, and report.json holds where
+    # and the last finite ||u||^2 and E
+    Case("run_abort", ("run",), "reference.json",
+         {"initial.u0": {"type": "sine", "amplitude": 1e8},
+          "numerics.dt": 0.9}, ("report.json",), exit=3),
     Case("verify", ("verify",), LINEAR, files=("report.json",)),
     # verify runs its eigensolves on a helper thread
     Case("verify_one_cpu", ("verify",), LINEAR, one_cpu_of="verify"),

@@ -26,8 +26,10 @@ import tempfile
 import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-# what the suite reads: the tests also open README.md, configs/ and scripts/
-TREE = ("src", "tests", "configs", "scripts", "README.md", "pyproject.toml")
+# what the suite reads: the tests also open README.md, configs/, scripts/
+# and perfbench/
+TREE = ("src", "tests", "configs", "scripts", "perfbench", "README.md",
+        "pyproject.toml")
 
 
 def load_mutants() -> list:

@@ -53,7 +53,7 @@ def summary(result, config) -> dict:
     leaves out the initial transient (or the fit's error), the invariants,
     and the MMS error of a manufactured run."""
     records = result.records
-    report = {"n_records": len(records), "h_norm0_sq": result.h_norm0_sq,
+    report = {"n_records": len(records), "h_norm0_sq": float(result.series.E[0]),
               "E_final": float(records.E[-1]) if len(records) else None,
               "invariants": invariants(records, config)}
     try:
@@ -119,7 +119,7 @@ def apriori_checks(result, config) -> list:
     int_l2 = float(np.trapezoid(s.l2, s.t))
 
     est1_lhs = int_w2 + int_slam_z1
-    est1_rhs = result.h_norm0_sq
+    est1_rhs = float(s.E[0])
     C_hat = est1_lhs / est1_rhs if est1_rhs > 0 else float("nan")
     checks = [check("est1_constant", est1_lhs, est1_rhs,
                     note=f"C_hat = {C_hat} (reported, not asserted)")]
@@ -228,7 +228,7 @@ def estimate_observability(config, n_samples: int = 20, seed: int = 0):
                           startup_steps=0, linear_only=True))
         s = res.series
         out = float(np.trapezoid(s.w ** 2 + s.slam_sq, s.t))
-        ratios.append(out / res.h_norm0_sq)
+        ratios.append(out / float(s.E[0]))
     return min(ratios), ratios
 
 

@@ -236,7 +236,7 @@ class TraceWeights:
     the sums agree with those functions to rounding.
     """
 
-    def __init__(self, kernel: MemoryKernel, dt: float, delta: float = 0.0):
+    def __init__(self, kernel: MemoryKernel, dt: float, delta: float):
         self.dt = dt
         t1, t2 = kernel.tau1, kernel.tau2
         # the endpoints as fractional lags: v(tau) = (1-f) w_lag[j] + f w_lag[j+1]
@@ -251,10 +251,9 @@ class TraceWeights:
         s, ks = _lag_grid(dt, t1, t2, 0.0)
         c = np.asarray(kernel(s)) * _trapezoid_weights(s)
         slots = np.concatenate(([n_v - 2], self.K - ks, [n_v - 1]))
-        rows = np.zeros((5, n_v))
+        rows = np.zeros((4, n_v))
         rows[0, slots] = c
-        rows[1, slots] = c
-        rows[2, slots] = c * s
+        rows[1, slots] = c * s
 
         # z_energy: trapezoid over s of lam(s) G(s), G the cumulative
         # trapezoid of u = W v^2 on the sigma grid [0, tau2]; adjoint sweep
@@ -272,13 +271,13 @@ class TraceWeights:
         ubar[:-1] += h
         ubar[1:] += h
         slots = np.concatenate(([self.K], self.K - ks_sig, [n_v - 1]))
-        rows[3, slots] = ubar
+        rows[2, slots] = ubar
         # clipped, delta * sig stays finite: exp(-1e300) = 0 as exp(-inf)
         delta = min(delta, 1e300 / max(1.0, sig[-1]))
-        rows[4, slots] = ubar * np.exp(-delta * sig)
+        rows[3, slots] = ubar * np.exp(-delta * sig)
 
-        self.linear = rows[0]        # memory
-        self.quadratic = rows[1:]    # lam_sq, slam_sq, z_plain, z_exp
+        self.linear = rows[0]        # memory, the same weights as lam_sq
+        self.quadratic = rows        # lam_sq, slam_sq, z_plain, z_exp
 
 
 def trace_series(w: np.ndarray, weights: TraceWeights) -> TraceValues:

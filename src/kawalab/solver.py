@@ -36,9 +36,9 @@ state overflows silently until the step's finiteness check turns it into a
 The `Stepper` owns a run's state and advances it in place; the history
 buffer in it is the run's one store of the boundary trace and its one clock.
 The time loop stores t and ||u||^2 per step, and at a record step the few
-record values that need the state; the history functionals are computed
-from the buffer's trace after the run (`memory.trace_series`), and
-the energy records from the series (`build_records`).
+record values that need the state; after the run, one pass, for a finished
+or an aborted run, gives the history functionals (`memory.trace_series`)
+and the energy E of every step, and the records (`build_records`).
 
 The nonlinearity uses the split u^p u_x ~ (D1(g) + |u|^p (D1 u)) / (p+2)
 with g = |u|^p u, which is consistent for all p in [1, 2] and makes
@@ -52,6 +52,7 @@ import importlib.util
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable, Optional, Sequence
@@ -60,7 +61,8 @@ import numpy as np
 
 from .discretization import (BANDWIDTH, Grid, SpatialOperator, build_operator,
                              weighted_mass)
-from .memory import HistoryBuffer, TraceWeights, feedback_block, trace_series
+from .memory import (HistoryBuffer, TraceValues, TraceWeights, feedback_block,
+                     trace_series)
 from .model import FeedbackGains, MemoryKernel, PhysicalParams, assemble_P
 
 
@@ -438,19 +440,11 @@ class Stepper:
         self._block, self._block_n = ([], []), 0
 
 
-@dataclass
-class TimeSeries:
-    """Per-step scalars, for trapezoid time integrals in the diagnostics;
-    the history functionals keep their `memory.TraceValues` names."""
-
-    t: np.ndarray
-    w: np.ndarray          # u_xx(t, 0)
-    l2: np.ndarray         # ||u||^2
-    memory: np.ndarray     # int lam(s) z(t,1,s) ds
-    lam_sq: np.ndarray     # int lam(s) z(t,1,s)^2 ds
-    slam_sq: np.ndarray    # int s lam(s) z(t,1,s)^2 ds
-    z_plain: np.ndarray    # int lam(s) int_0^s z(t,1,sigma)^2 dsigma ds
-    z_exp: np.ndarray      # the same with the weight exp(-delta sigma)
+class TimeSeries(namedtuple("TimeSeries",
+                            ("t", "w", "l2", "E") + TraceValues._fields)):
+    """Per-step scalars, for trapezoid time integrals in the diagnostics:
+    t, w = u_xx(t, 0), l2 = ||u||^2, the energy E (`energy`; E[0] is
+    ||(u0, z0)||_H^2) and the `memory.TraceValues` functionals."""
 
 
 @dataclass
@@ -458,7 +452,6 @@ class RunResult:
     records: np.recarray   # one `RECORD` row per record step
     u: np.ndarray          # the profile at the last step
     series: TimeSeries
-    h_norm0_sq: float
     mms_error: Optional[float] = None
 
 
@@ -494,7 +487,7 @@ def build_records(config, series, steps: Sequence[int],
     """The energy records at the time steps `steps` of a run, one `RECORD`
     row each: `records.E` is a column, `records[k].E` one value.
 
-    `series` holds the run's per-step t, ||u||^2 and history functionals;
+    `series` holds the run's per-step t, ||u||^2, E and history functionals;
     `scalars` holds the `state_scalars` of each record's state.
     w0 comes from the state, not from the series: at step 0 the series
     holds the history sample z0(0), which need not equal u0''(0).
@@ -505,7 +498,7 @@ def build_records(config, series, steps: Sequence[int],
     l2, mem = series.l2[i], series.memory[i]
     P = assemble_P(gains, config.kernel)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = energy(l2, series.z_plain[i], gains)
+        E = series.E[i]
         E2 = abs(gains.beta) * series.z_exp[i]
         xi = E + gains.mu1 * E1 + gains.mu2 * E2
         F = gains.alpha * w0 + gains.beta * mem
@@ -524,9 +517,9 @@ def run(config: SimConfig) -> RunResult:
     The loop stores t and ||u||^2 of every step, and the
     `state_scalars` of every record step, from the Stepper's u
     and its carried trace w0; the history buffer keeps the trace w.  The
-    history functionals of the series and the records come from those after
-    the loop.  Deterministic: identical configs produce bitwise-identical
-    trajectories.
+    history functionals and the energy of the series, and the records, come
+    from those after the loop.  Deterministic: identical configs produce
+    bitwise-identical trajectories.
 
     The time loop runs under one `np.errstate` that ignores overflow and
     invalid operations: a diverging state overflows ||u||^2 some steps
@@ -547,6 +540,7 @@ def run(config: SimConfig) -> RunResult:
     sq = np.empty(config.N)             # u^2, for ||u||^2
     rec_steps, rec_scalars = [], []     # each record's step and state_scalars
 
+    abort = None
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for k in range(n_steps + 1):
@@ -559,23 +553,22 @@ def run(config: SimConfig) -> RunResult:
                     rec_steps.append(k)
                     rec_scalars.append(state_scalars(st.u, st.w0, st.op))
         except SolverAbort as e:
-            finite = np.flatnonzero(np.isfinite(l2[:k]))
-            if finite.size:
-                j = finite[-1]
-                e.last_finite_t, e.last_finite_l2 = float(t[j]), float(l2[j])
-                # the failed step pushed nothing: the trace ends at t_{k-1}
-                tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
-                E = float(energy(l2[j], tv.z_plain[j], config.gains))
-                e.last_finite_E = E if math.isfinite(E) else None
-            raise
-
-    tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
-    series = TimeSeries(t=t, w=buf.trace[i0:], l2=l2, **tv._asdict())
+            # the failed step pushed nothing: the trace ends at t_{k-1}
+            abort, t, l2 = e, t[:k], l2[:k]
+        tv = trace_series(buf.trace[i0 - K:], st.trace_weights)
+        E = energy(l2, tv.z_plain, config.gains)
+    series = TimeSeries(t, buf.trace[i0:], l2, E, *tv)
+    if abort is not None:
+        finite = np.flatnonzero(np.isfinite(l2))
+        if finite.size:
+            j = finite[-1]
+            abort.last_finite_t, abort.last_finite_l2 = float(t[j]), float(l2[j])
+            abort.last_finite_E = float(E[j]) if math.isfinite(E[j]) else None
+        raise abort
     records = build_records(config, series, rec_steps, rec_scalars)
-    h0 = energy(l2[0], series.z_plain[0], config.gains)
     mms_err = None
     if st.mms_exact is not None:
         exact = st.mms_exact(st.grid.x, buf.t_now)
         mms_err = float(np.sqrt(st.grid.h * ((st.u - exact) ** 2).sum()))
     return RunResult(records=records, u=st.u, series=series,
-                     h_norm0_sq=float(h0), mms_error=mms_err)
+                     mms_error=mms_err)

@@ -7,7 +7,6 @@ shows the full scoreboard live.
 
 import json
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np

@@ -35,13 +35,13 @@ def write_tree(root, series=SERIES, report=REPORT, skip=()):
 
 
 def test_the_matrix_holds_every_case_and_artifact():
-    """14 commands and 20 compared files, with verify on one CPU compared
+    """15 commands and 21 compared files, with verify on one CPU compared
     with verify: a case that drops out of the table fails here."""
     assert [case.name for case in artifacts.CASES] == [
         "check", "check_edge", "run_nonlinear", "run_fine", "run_one_step",
         "run_two_dt", "run_offgrid", "run_mms", "run_linear",
-        "run_no_records", "verify", "verify_one_cpu", "verify_no_records",
-        "sweep_alpha"]
+        "run_no_records", "run_abort", "verify", "verify_one_cpu",
+        "verify_no_records", "sweep_alpha"]
     runs = ("run_nonlinear", "run_fine", "run_one_step", "run_two_dt",
             "run_offgrid", "run_mms", "run_linear")
     assert [f"{case.name}/{name}" for case in artifacts.CASES
@@ -49,10 +49,11 @@ def test_the_matrix_holds_every_case_and_artifact():
         "check/certificate.json", "check_edge/certificate.json",
         *(f"{run}/{name}" for run in runs
           for name in ("series.csv", "report.json")),
-        "run_no_records/report.json", "verify/report.json",
+        "run_no_records/report.json", "run_abort/report.json",
+        "verify/report.json",
         "verify_no_records/report.json", "sweep_alpha/sweep.csv"]
     assert {case.name: case.exit for case in artifacts.CASES
-            if case.exit} == {"check_edge": 2}
+            if case.exit} == {"check_edge": 2, "run_abort": 3}
     assert {case.name: case.one_cpu_of for case in artifacts.CASES
             if case.one_cpu_of} == {"verify_one_cpu": "verify"}
     assert artifacts.BY_NAME["verify_one_cpu"].argv == ("verify",)
@@ -75,7 +76,7 @@ def test_diff_of_identical_trees_exits_0(tmp_path, capsys):
     a, b = write_tree(tmp_path / "a"), write_tree(tmp_path / "b")
     assert artifacts.main(["diff", a, b]) == 0
     out = capsys.readouterr().out
-    assert out.count("identical  ") == 20
+    assert out.count("identical  ") == 21
     assert 'env A: {"numpy": "2"}' in out
     assert out.rstrip().endswith("every artifact identical")
 
@@ -96,7 +97,7 @@ def test_diff_reports_a_one_ulp_change_by_column_and_leaf(tmp_path, capsys):
     assert (f"differs    run_fine/report.json\n"
             f"    decay_fit.rate: {(rate - 0.4) / rate:.2g}\n") in out
     assert out.count("\n    ") == 2     # no other column or leaf
-    assert "2 of 20 artifacts differ" in out
+    assert "2 of 21 artifacts differ" in out
 
 
 def test_diff_reports_a_missing_or_unreadable_artifact(tmp_path, capsys):
@@ -110,7 +111,7 @@ def test_diff_reports_a_missing_or_unreadable_artifact(tmp_path, capsys):
     assert "missing    verify/report.json (in B)\n" in out
     assert "missing    sweep_alpha/sweep.csv (in A and B)\n" in out
     assert "differs    run_mms/report.json\n    unreadable: " in out
-    assert "3 of 20 artifacts differ" in out
+    assert "3 of 21 artifacts differ" in out
 
 
 @pytest.mark.parametrize("x, y, change", [

@@ -1,6 +1,7 @@
 """Energy records, decay fits, a priori estimates, observability, spectra."""
 
 import ast
+import glob
 import importlib.util
 import math
 import os
@@ -15,9 +16,8 @@ import pytest
 from conftest import reference_sim_config
 from kawalab import diagnostics
 from kawalab.cli import write_series_csv
-from kawalab.diagnostics import (DecayFit, apriori_checks, check,
-                                 estimate_observability, fit_decay,
-                                 invariants, random_initial_data,
+from kawalab.diagnostics import (apriori_checks, check, estimate_observability,
+                                 fit_decay, invariants, random_initial_data,
                                  spectral_residuals, spectral_threshold)
 from kawalab.solver import RECORD, run
 
@@ -164,10 +164,10 @@ def test_apriori_slack_is_five_percent(ratio, ok):
     est4 holds with ratio 1 (constant ||u||^2, zero trace)."""
     zeros = np.zeros(2)
     series = SimpleNamespace(t=np.array([0.0, 1.0]), w=zeros, lam_sq=zeros,
-                             slam_sq=zeros, l2=np.ones(2),
+                             slam_sq=zeros, l2=np.ones(2), E=np.ones(2),
                              z_plain=np.array([ratio, 1.0]))
     checks = {c["check_name"]: c for c in apriori_checks(
-        SimpleNamespace(series=series, h_norm0_sq=1.0),
+        SimpleNamespace(series=series),
         SimpleNamespace(linear_only=True))}
     est3, est4 = checks["est3"], checks["est4"]
     assert est3["lhs"] / est3["rhs"] == ratio
@@ -269,6 +269,35 @@ def test_solver_and_diagnostics_import_one_way():
                          f"{alias.name}").split(".")}
     assert "diagnostics" not in imported["solver"]
     assert "solver" in imported["diagnostics"]
+
+
+def test_every_imported_name_is_read():
+    """Each module under src/kawalab, tests and scripts reads every name
+    it imports (`import a.b` binds a); a name in `__all__` counts as
+    read."""
+    unread = []
+    for folder in ("src/kawalab", "tests", "scripts"):
+        for path in sorted(glob.glob(os.path.join(REPO, folder, "**", "*.py"),
+                                     recursive=True)):
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(
+                        getattr(target, "id", None) == "__all__"
+                        for target in node.targets):
+                    read.update(ast.literal_eval(node.value))
+            unread += [
+                f"{os.path.relpath(path, REPO)}:{node.lineno} {name}"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                for name in [alias.asname or alias.name.split(".")[0]]
+                if name not in read]
+    assert not unread, f"imported and never read: {unread}"
 
 
 def _spectral_scan(*args):

@@ -41,7 +41,7 @@ def test_zero_data_is_exact_fixed_point():
     result = run(cfg)
     assert np.all(result.u == 0.0)
     assert all(r.E == 0.0 for r in result.records)
-    assert result.h_norm0_sq == 0.0
+    assert result.series.E[0] == 0.0
 
 
 def test_linear_run_decays():
